@@ -52,7 +52,7 @@ cargo build --release --offline --workspace --all-targets
 step "cargo test --offline"
 cargo test -q --offline --workspace
 
-step "campaign cache smoke test (fig5 twice, second run must be all hits)"
+step "campaign cache smoke test (fig5 again, then after a torn manifest: all hits)"
 smoke_dir=$(mktemp -d target/campaign-smoke.XXXXXX)
 trap 'rm -rf "$smoke_dir"' EXIT
 # Two separate OS processes with deliberately different irrelevant
@@ -76,7 +76,23 @@ if ! grep -q 'campaign: [0-9]* shards — [0-9]* hits, 0 misses, 0 cancelled' \
     cat "$smoke_dir/second.err" >&2
     exit 1
 fi
-echo "ok: second run 100% cache hits, stdout byte-identical"
+# The manifest is an audit log, not the resume index: a torn non-UTF-8
+# tail (a kill that cut a multi-byte label in half) must cost no hits.
+printf '{"shard":"fig5 \xce' >>"$smoke_dir/cache/manifest.jsonl"
+./target/release/experiments fig5 --scale 1 --cache-dir "$smoke_dir/cache" \
+    >"$smoke_dir/third.out" 2>"$smoke_dir/third.err"
+if ! cmp -s "$smoke_dir/first.out" "$smoke_dir/third.out"; then
+    echo "error: fig5 after a torn manifest tail is not byte-identical to the first run" >&2
+    diff "$smoke_dir/first.out" "$smoke_dir/third.out" >&2 || true
+    exit 1
+fi
+if ! grep -q 'campaign: [0-9]* shards — [0-9]* hits, 0 misses, 0 cancelled' \
+    "$smoke_dir/third.err"; then
+    echo "error: fig5 after a torn manifest tail was not served 100% from cache:" >&2
+    cat "$smoke_dir/third.err" >&2
+    exit 1
+fi
+echo "ok: second run 100% cache hits, stdout byte-identical; a torn manifest tail costs no hits"
 
 step "fleet smoke test (fig5 --exec process: identical output, then all hits)"
 # The same fig5 campaign executed on worker OS processes over the framed

@@ -15,8 +15,10 @@
 //!
 //! Implementation note: `q` depends on rounds only through the gap
 //! `d = n − m`, so the no-join probability after `s` rounds is
-//! `∏_d Q(d)^(s−d)` with `Q` computed once per gap — this makes the
-//! optimizer's repeated evaluations cheap.
+//! `∏_d Q(d)^(s−d)`. `ln Q(d)` is computed once per gap per evaluation:
+//! `expected_join_time` builds the prefix once and sums every round's
+//! `Σ_d (s−d)·ln Q(d)` from it, which makes the optimizer's repeated
+//! evaluations cheap.
 
 /// Parameters of the join model (all times in seconds).
 #[derive(Debug, Clone, Copy)]
@@ -135,19 +137,52 @@ impl JoinModelParams {
 
     /// Probability of *not* joining within `rounds` scheduling rounds.
     pub fn p_no_join_rounds(&self, rounds: u32) -> f64 {
+        self.p_no_join_given(&self.ln_q_bar_prefix(rounds), rounds)
+    }
+
+    /// The last gap `P(no join within rounds)` consults, or `None` when
+    /// that probability is 1 outright (no rounds, or never on channel).
+    fn last_gap(&self, rounds: u32) -> Option<u32> {
         if rounds == 0 || self.fraction == 0.0 {
-            return 1.0;
+            None
+        } else {
+            Some(self.max_gap().min(rounds - 1))
         }
-        let max_gap = self.max_gap().min(rounds.saturating_sub(1));
-        let mut log_p = 0.0f64;
-        for gap in 0..=max_gap {
+    }
+
+    /// `ln Q(gap)` for every gap `P(no join within rounds)` consults, in
+    /// gap order, cut just before the first gap with `Q ≤ 0` (a round
+    /// pair that surely joins). Serves every round count up to `rounds`.
+    fn ln_q_bar_prefix(&self, rounds: u32) -> Vec<f64> {
+        let Some(last) = self.last_gap(rounds) else {
+            return Vec::new();
+        };
+        let mut ln_q = Vec::with_capacity(last as usize + 1);
+        for gap in 0..=last {
             let q = self.q_bar(gap);
             if q <= 0.0 {
-                return 0.0;
+                break;
             }
+            ln_q.push(q.ln());
+        }
+        ln_q
+    }
+
+    /// `P(no join within rounds)` from a prefix built by
+    /// [`Self::ln_q_bar_prefix`] for at least `rounds` rounds.
+    fn p_no_join_given(&self, ln_q: &[f64], rounds: u32) -> f64 {
+        let Some(last) = self.last_gap(rounds) else {
+            return 1.0;
+        };
+        // A prefix cut at or before `last` hit a certain join.
+        let Some(used) = ln_q.get(..=last as usize) else {
+            return 0.0;
+        };
+        let mut log_p = 0.0f64;
+        for (gap, &ln_q) in (0u32..).zip(used) {
             // Pairs (m, n) with n − m = gap and 1 ≤ m ≤ n ≤ rounds.
             let pairs = (rounds - gap) as f64;
-            log_p += pairs * q.ln();
+            log_p += pairs * ln_q;
         }
         log_p.exp()
     }
@@ -158,11 +193,13 @@ impl JoinModelParams {
     pub fn expected_join_time(&self, horizon: f64) -> f64 {
         assert!(horizon >= 0.0, "negative horizon");
         let rounds = (horizon / self.period).ceil() as u32;
+        // The last summed round consults the most gaps; one prefix serves all.
+        let ln_q = self.ln_q_bar_prefix(rounds.saturating_sub(1));
         let mut acc = 0.0;
         for s in 0..rounds {
             // P(no join during rounds 1..=s) holds for t ∈ [s·D, (s+1)·D).
             let step = self.period.min(horizon - s as f64 * self.period);
-            acc += self.p_no_join_rounds(s) * step.max(0.0);
+            acc += self.p_no_join_given(&ln_q, s) * step.max(0.0);
         }
         acc
     }
@@ -305,6 +342,76 @@ mod tests {
     fn expected_join_time_zero_fraction_is_horizon() {
         let g = params(0.0).expected_join_time(12.0);
         assert!((g - 12.0).abs() < 1e-9);
+    }
+
+    /// The per-round kernel: `Q(gap)` recomputed from scratch for every
+    /// round count, as Eq. 7 reads.
+    fn reference_p_no_join(p: &JoinModelParams, rounds: u32) -> f64 {
+        if rounds == 0 || p.fraction == 0.0 {
+            return 1.0;
+        }
+        let mut log_p = 0.0f64;
+        for gap in 0..=p.max_gap().min(rounds - 1) {
+            let q = p.q_bar(gap);
+            if q <= 0.0 {
+                return 0.0;
+            }
+            log_p += (rounds - gap) as f64 * q.ln();
+        }
+        log_p.exp()
+    }
+
+    #[test]
+    fn shared_prefix_is_bit_identical_to_the_per_round_kernel() {
+        let mut cases = Vec::new();
+        // f = 0.01: the window is shorter than w, so no requests fit.
+        for f in [0.0, 0.01, 0.05, 0.2, 0.5, 1.0] {
+            // βmax = 0.5 = βmin: the degenerate point-mass β.
+            for beta_max in [0.5, 1.0, 5.0, 10.0] {
+                cases.push(JoinModelParams::figure2(f, beta_max));
+            }
+        }
+        // Loss-free with q = 1 at gap 1, degenerate and spread β: Q(1) = 0,
+        // so every round count past 1 short-circuits to a certain join.
+        let certain = [
+            JoinModelParams {
+                loss: 0.0,
+                ..JoinModelParams::figure2(1.0, 0.5)
+            },
+            JoinModelParams {
+                loss: 0.0,
+                ..JoinModelParams::figure2(1.0, 0.55)
+            },
+        ];
+        for p in &certain {
+            assert_eq!(p.q_bar(1), 0.0);
+            assert_eq!(p.p_no_join_rounds(2), 0.0);
+        }
+        cases.extend(certain);
+
+        for p in &cases {
+            for rounds in 0..48 {
+                assert_eq!(
+                    p.p_no_join_rounds(rounds).to_bits(),
+                    reference_p_no_join(p, rounds).to_bits(),
+                    "p_no_join_rounds({rounds}) for {p:?}"
+                );
+            }
+            // Horizons off the D = 0.5 s grid exercise the partial last step.
+            for horizon in [0.0, 0.3, 0.5, 0.9, 3.7, 4.0, 12.25, 80.0] {
+                let rounds = (horizon / p.period).ceil() as u32;
+                let mut reference = 0.0;
+                for s in 0..rounds {
+                    let step = p.period.min(horizon - s as f64 * p.period);
+                    reference += reference_p_no_join(p, s) * step.max(0.0);
+                }
+                assert_eq!(
+                    p.expected_join_time(horizon).to_bits(),
+                    reference.to_bits(),
+                    "g_T({horizon}) for {p:?}"
+                );
+            }
+        }
     }
 
     #[test]

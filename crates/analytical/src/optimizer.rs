@@ -65,13 +65,18 @@ impl Schedule {
     }
 }
 
-/// The per-channel cap of constraint (9) at fraction `f`.
-fn fraction_cap(offer: &ChannelOffer, inputs: &OptimizerInputs, f: f64) -> f64 {
-    let params = JoinModelParams {
+/// The expected join time `g_T(f)` at fraction `f` (Eq. 9's `g_T`).
+fn join_time(inputs: &OptimizerInputs, f: f64) -> f64 {
+    JoinModelParams {
         fraction: f,
         ..inputs.join
-    };
-    let g = params.expected_join_time(inputs.horizon);
+    }
+    .expected_join_time(inputs.horizon)
+}
+
+/// The per-channel cap of constraint (9), given the join time `g` at the
+/// fraction under test.
+fn fraction_cap(offer: &ChannelOffer, inputs: &OptimizerInputs, g: f64) -> f64 {
     let usable = offer.joined_bps + (1.0 - g / inputs.horizon) * offer.available_bps;
     (usable / inputs.wireless_bps).clamp(0.0, 1.0)
 }
@@ -84,23 +89,28 @@ pub fn solve(inputs: &OptimizerInputs) -> Schedule {
 
 /// Solve for any (small) number of channels by recursive grid search over
 /// the simplex cut by constraint (10). Per-channel caps are precomputed —
-/// constraint (9) couples `f_i` only to its own channel.
+/// constraint (9) couples `f_i` only to its own channel — and `g_T(f)`,
+/// which depends on `f` alone, is evaluated once per grid step.
 pub fn solve_n(inputs: &OptimizerInputs) -> Schedule {
     assert!(!inputs.channels.is_empty(), "solve_n: no channels");
     assert!(inputs.grid >= 2, "solve_n: grid too coarse");
     assert!(inputs.horizon > 0.0, "solve_n: non-positive horizon");
     let n = inputs.channels.len();
     let w_frac = inputs.join.switch_delay / inputs.period();
+    let steps: Vec<(f64, f64)> = (0..=inputs.grid)
+        .map(|step| {
+            let f = step as f64 / inputs.grid as f64;
+            (f, join_time(inputs, f))
+        })
+        .collect();
     // feasible[idx][step] = does f = step/grid satisfy constraint (9)?
     let feasible: Vec<Vec<bool>> = inputs
         .channels
         .iter()
         .map(|offer| {
-            (0..=inputs.grid)
-                .map(|step| {
-                    let f = step as f64 / inputs.grid as f64;
-                    f <= fraction_cap(offer, inputs, f) + 1e-12
-                })
+            steps
+                .iter()
+                .map(|&(f, g)| f <= fraction_cap(offer, inputs, g) + 1e-12)
                 .collect()
         })
         .collect();
@@ -238,6 +248,56 @@ pub fn dividing_speed(joined_share: f64, beta_max: f64, lo: f64, hi: f64, thresh
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::Fig4Scenario;
+
+    /// `solve_n` with `g_T(f)` re-evaluated for every channel.
+    fn per_channel_join_time_solve(inputs: &OptimizerInputs) -> Schedule {
+        let feasible: Vec<Vec<bool>> = inputs
+            .channels
+            .iter()
+            .map(|offer| {
+                (0..=inputs.grid)
+                    .map(|step| {
+                        let f = step as f64 / inputs.grid as f64;
+                        f <= fraction_cap(offer, inputs, join_time(inputs, f)) + 1e-12
+                    })
+                    .collect()
+            })
+            .collect();
+        let n = inputs.channels.len();
+        let mut best = Schedule {
+            fractions: vec![0.0; n],
+            per_channel_bps: vec![0.0; n],
+            total_bits: 0.0,
+        };
+        let w_frac = inputs.join.switch_delay / inputs.period();
+        search(
+            inputs,
+            &feasible,
+            0,
+            1.0,
+            w_frac,
+            &mut vec![0.0; n],
+            &mut best,
+        );
+        best
+    }
+
+    #[test]
+    fn one_join_time_per_step_matches_per_channel_reference() {
+        for scenario in Fig4Scenario::ALL {
+            for v in [2.5, 3.3, 5.0, 6.6, 10.0, 20.0] {
+                for beta_max in [2.0, 10.0] {
+                    let inputs = scenario.inputs(v, beta_max);
+                    assert_eq!(
+                        solve_n(&inputs),
+                        per_channel_join_time_solve(&inputs),
+                        "{scenario:?} at {v} m/s, βmax {beta_max}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn slow_speed_splits_channels() {

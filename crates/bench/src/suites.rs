@@ -279,16 +279,6 @@ fn fig5_world() -> WorldConfig {
     bench_vehicular(11, spider, 60)
 }
 
-/// Events/sec of the pre-rework engine (commit before the slot-queue +
-/// interning change) on this scenario: the best of three interleaved
-/// back-to-back runs against that commit's worktree, same batching
-/// harness, same machine as the committed artifact (best-of favors the
-/// baseline, so recorded speedups are conservative). Machine dependent —
-/// override with `SPIDER_BENCH_BASELINE_EPS` after re-measuring locally;
-/// `None` drops the baseline/speedup fields from the artifact rather
-/// than reporting a number from different hardware.
-const RECORDED_MAIN_BASELINE_EPS: Option<f64> = Some(3_050_000.0);
-
 /// The DES hot-path suite: raw engine events/sec on a fig5-scale world,
 /// plus microbenches of the two structures the allocation-free hot path
 /// rests on (the slot-cancelling event queue and the interned MacAddr
@@ -312,10 +302,14 @@ pub fn des_core(h: &mut Harness) {
         h.annotate("events_delivered", format!("{}", probe.events_delivered));
         h.annotate("peak_queue_depth", format!("{}", probe.peak_queue_depth));
         h.annotate("events_per_sec", format!("{eps:.1}"));
+        // Events/sec of the pre-rework engine (the commit before the
+        // slot-queue + interning change), measured on the machine running
+        // the bench. Machine dependent, so there is no built-in default:
+        // without the variable the artifact carries no baseline/speedup
+        // fields rather than a speedup against different hardware.
         let baseline = std::env::var("SPIDER_BENCH_BASELINE_EPS")
             .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .or(RECORDED_MAIN_BASELINE_EPS);
+            .and_then(|v| v.parse::<f64>().ok());
         if let Some(base) = baseline {
             println!(
                 "des_core: baseline {base:.0} events/sec, speedup {:.2}x",

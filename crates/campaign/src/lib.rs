@@ -21,10 +21,11 @@
 //!    `sim_engine::par::map_cancellable`: dynamic claiming from a shared
 //!    counter, cooperative cancellation, live progress/ETA on stderr
 //!    ([`progress`]).
-//! 4. **Manifest** — every completed shard is appended to
-//!    `<cache-dir>/manifest.jsonl` as it finishes ([`manifest`]); an
-//!    interrupted campaign resumes by replaying the manifest and
-//!    re-running only the shards it is missing.
+//! 4. **Manifest** — every shard, hit or miss, is appended to
+//!    `<cache-dir>/manifest.jsonl` as it finishes ([`manifest`]). The
+//!    manifest is an audit log that `run` never reads back: an
+//!    interrupted campaign resumes because each finished shard's record
+//!    file already exists, so only the shards without one re-run.
 //!
 //! ```no_run
 //! use campaign::Campaign;
@@ -46,7 +47,6 @@ pub mod hash;
 pub mod manifest;
 pub mod progress;
 
-use std::collections::BTreeSet;
 use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -186,14 +186,6 @@ impl Campaign {
     /// are fine (the second is a hit).
     pub fn run(&self, shards: Vec<(String, WorldConfig)>) -> io::Result<CampaignRun> {
         let cache = RecordCache::open(&self.cache_dir)?;
-        // Resume: a shard counts as done when the manifest says so AND its
-        // record file still exists (the record is the artifact; the
-        // manifest alone is just a claim).
-        let replayed: BTreeSet<String> = Manifest::replay(&self.cache_dir)?
-            .into_iter()
-            .map(|e| e.hash)
-            .filter(|h| cache.contains(h))
-            .collect();
         let manifest = Manifest::open(&self.cache_dir)?;
         let progress = Progress::new(shards.len(), self.quiet);
 
@@ -203,9 +195,9 @@ impl Campaign {
 
         for (index, (label, world)) in shards.into_iter().enumerate() {
             let hash = hash::shard_hash(&world);
-            let known = replayed.contains(&hash) || cache.contains(&hash);
-            let loaded = if known { cache.load(&hash) } else { None };
-            match loaded {
+            // Resume is keyed on record files alone: the record is the
+            // artifact, and the manifest is never read back here.
+            match cache.load(&hash) {
                 Some(result) => {
                     let entry = ManifestEntry {
                         shard: label.clone(),

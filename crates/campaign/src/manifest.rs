@@ -6,15 +6,17 @@
 //! {"shard":"(1) Channel 1, Multi-AP","hash":"9f…","wall_ms":412,"cache":"miss","path":"reports/9f….json"}
 //! ```
 //!
-//! The manifest is the campaign's durable progress log. Replay is
-//! deliberately forgiving: a process killed mid-append leaves a
-//! truncated final line, which replay skips — the corresponding shard
-//! simply re-runs. Replayed hashes are only trusted when the record
-//! file they point at actually exists, so deleting a record (or the
-//! whole `reports/` directory) also re-runs those shards.
+//! The manifest is the campaign's append-only audit log: what ran, when
+//! it hit, how long it took. `Campaign::run` writes it but never reads
+//! it back — resume is keyed on the record files under `reports/`, so a
+//! missing, truncated, or corrupt manifest never costs a cache hit, and
+//! deleting a record (or the whole `reports/` directory) re-runs those
+//! shards. [`Manifest::replay`] reads the log for tools and tests,
+//! skipping lines it cannot parse, such as the truncated final line a
+//! process killed mid-append leaves behind.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -99,8 +101,7 @@ impl ManifestEntry {
 ///
 /// Fleet notes share the manifest file with [`ManifestEntry`] lines but
 /// lead with a `"fleet"` key, which [`ManifestEntry::parse_line`] rejects
-/// — so [`Manifest::replay`] (the resume path) skips them untouched and an
-/// interrupted campaign resumes exactly as before. They are the forensic
+/// — so [`Manifest::replay`] skips them untouched. They are the forensic
 /// record: [`Manifest::replay_fleet`] reconstructs what the fleet did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetNote {
@@ -221,44 +222,40 @@ impl Manifest {
         file.flush()
     }
 
-    /// Replay only the fleet scheduling notes (crash forensics; the
-    /// resume path uses [`Manifest::replay`], which skips these lines).
+    /// Replay only the fleet scheduling notes (crash forensics;
+    /// [`Manifest::replay`] skips these lines).
     pub fn replay_fleet(cache_dir: &Path) -> io::Result<Vec<FleetNote>> {
-        let file = match File::open(Self::path_in(cache_dir)) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let mut notes = Vec::new();
-        for line in BufReader::new(file).lines() {
-            let line = line?;
-            if let Some(note) = FleetNote::parse_line(&line) {
-                notes.push(note);
-            }
-        }
-        Ok(notes)
+        let bytes = Self::read(cache_dir)?;
+        Ok(utf8_lines(&bytes)
+            .filter_map(FleetNote::parse_line)
+            .collect())
     }
 
     /// Replay a manifest, skipping unparsable (truncated) lines. A
     /// missing manifest is an empty campaign, not an error.
     pub fn replay(cache_dir: &Path) -> io::Result<Vec<ManifestEntry>> {
-        let file = match File::open(Self::path_in(cache_dir)) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let mut entries = Vec::new();
-        for line in BufReader::new(file).lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Some(entry) = ManifestEntry::parse_line(&line) {
-                entries.push(entry);
-            }
-        }
-        Ok(entries)
+        let bytes = Self::read(cache_dir)?;
+        Ok(utf8_lines(&bytes)
+            .filter_map(ManifestEntry::parse_line)
+            .collect())
     }
+
+    /// The whole manifest; a missing one reads as empty.
+    fn read(cache_dir: &Path) -> io::Result<Vec<u8>> {
+        match fs::read(Self::path_in(cache_dir)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+            read => read,
+        }
+    }
+}
+
+/// The lines of `bytes` that are valid UTF-8. A kill mid-append can cut
+/// a multi-byte character in half; that torn line is skipped like any
+/// other unparsable one instead of failing the whole read.
+fn utf8_lines(bytes: &[u8]) -> impl Iterator<Item = &str> {
+    bytes
+        .split(|&b| b == b'\n')
+        .filter_map(|line| std::str::from_utf8(line).ok())
 }
 
 /// JSON-quote a string (escapes `"`, `\`, and control characters).
@@ -411,6 +408,30 @@ mod tests {
             replayed,
             vec![entry("a", "h1", false), entry("b", "h2", true)]
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_utf8_torn_lines_are_skipped_not_fatal() {
+        let dir = std::env::temp_dir().join(format!(
+            "campaign-manifest-test-{}-non-utf8",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let m = Manifest::open(&dir).unwrap();
+        m.append(&entry("a", "h1", false)).unwrap();
+        drop(m);
+        // A kill that cuts a multi-byte label ("Ω" is 0xCE 0xA9) in half.
+        let path = Manifest::path_in(&dir);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"{\"shard\":\"fig5 \xce");
+        std::fs::write(&path, bytes).unwrap();
+        assert_eq!(
+            Manifest::replay(&dir).unwrap(),
+            vec![entry("a", "h1", false)]
+        );
+        assert!(Manifest::replay_fleet(&dir).unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

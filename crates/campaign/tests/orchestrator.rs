@@ -4,8 +4,11 @@
 //!    an unchanged shard hits and returns exactly what a fresh run
 //!    returns (byte-identical record files).
 //! 2. **Interrupt and resume** — a campaign cancelled mid-sweep picks up
-//!    from the manifest, re-runs only the unfinished shards, and the
-//!    final merged records are byte-identical to an uninterrupted run.
+//!    from the record files it left, re-runs only the unfinished shards,
+//!    and the final merged records are byte-identical to an
+//!    uninterrupted run.
+//! 3. **The manifest is only a log** — deleting or tearing it costs no
+//!    hits; deleting a record the manifest still lists costs one miss.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -212,6 +215,66 @@ fn cancelled_mid_sweep_then_resume_matches_uninterrupted_run() {
     );
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&reference);
+}
+
+#[test]
+fn deleted_manifest_still_serves_all_hits() {
+    let dir = scratch("deleted-manifest");
+    let campaign = Campaign::new(&dir).with_workers(2).with_quiet(true);
+    campaign.run(shards(&[41, 42])).expect("first run");
+    fs::remove_file(Manifest::path_in(&dir)).expect("delete manifest");
+
+    let second = campaign.run(shards(&[41, 42])).expect("second run");
+    assert_eq!((second.hits, second.misses, second.cancelled), (2, 0, 0));
+    // The audit log starts over with this run's hits.
+    assert_eq!(Manifest::replay(&dir).expect("replay").len(), 2);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn torn_non_utf8_manifest_tail_still_serves_all_hits() {
+    let dir = scratch("torn-manifest");
+    let campaign = Campaign::new(&dir).with_workers(2).with_quiet(true);
+    campaign.run(shards(&[43, 44])).expect("first run");
+    let after_first = record_files(&dir);
+
+    // A kill mid-append that cut a multi-byte label in half.
+    let mut log = fs::read(Manifest::path_in(&dir)).expect("manifest bytes");
+    log.extend_from_slice(b"{\"shard\":\"fig5 \xce");
+    fs::write(Manifest::path_in(&dir), log).expect("tear manifest");
+
+    let second = campaign.run(shards(&[43, 44])).expect("second run");
+    assert_eq!((second.hits, second.misses, second.cancelled), (2, 0, 0));
+    assert_eq!(
+        record_files(&dir),
+        after_first,
+        "hits must not rewrite records"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn manifested_shard_without_its_record_reruns_as_one_miss() {
+    let dir = scratch("missing-record");
+    let campaign = Campaign::new(&dir).with_workers(2).with_quiet(true);
+    let first = campaign.run(shards(&[45, 46, 47])).expect("first run");
+    let after_first = record_files(&dir);
+    let lost = &first.outcomes[1];
+    assert!(Manifest::replay(&dir)
+        .expect("replay")
+        .iter()
+        .any(|e| e.hash == lost.hash));
+    fs::remove_file(&lost.record_path).expect("delete record");
+
+    let second = campaign.run(shards(&[45, 46, 47])).expect("second run");
+    assert_eq!((second.hits, second.misses, second.cancelled), (2, 1, 0));
+    assert!(!second.outcomes[1].cache_hit);
+    assert_eq!(
+        record_files(&dir),
+        after_first,
+        "the re-run must restore the identical record"
+    );
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
