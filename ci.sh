@@ -52,7 +52,7 @@ cargo build --release --offline --workspace --all-targets
 step "cargo test --offline"
 cargo test -q --offline --workspace
 
-step "campaign cache smoke test (fig5 again, then after a torn manifest: all hits)"
+step "campaign cache smoke test (fig5 again and after a torn manifest: all hits; after a corrupt record: one miss)"
 smoke_dir=$(mktemp -d target/campaign-smoke.XXXXXX)
 trap 'rm -rf "$smoke_dir"' EXIT
 # Two separate OS processes with deliberately different irrelevant
@@ -92,7 +92,24 @@ if ! grep -q 'campaign: [0-9]* shards — [0-9]* hits, 0 misses, 0 cancelled' \
     cat "$smoke_dir/third.err" >&2
     exit 1
 fi
-echo "ok: second run 100% cache hits, stdout byte-identical; a torn manifest tail costs no hits"
+# A corrupt record is a miss, not a crash: a record of 200 000 nested
+# objects must cost exactly one re-run shard, never a stack overflow.
+records=("$smoke_dir"/cache/reports/*.json)
+awk 'BEGIN { for (i = 0; i < 200000; i++) printf "{\"v\":" }' >"${records[0]}"
+./target/release/experiments fig5 --scale 1 --cache-dir "$smoke_dir/cache" \
+    >"$smoke_dir/fourth.out" 2>"$smoke_dir/fourth.err"
+if ! cmp -s "$smoke_dir/first.out" "$smoke_dir/fourth.out"; then
+    echo "error: fig5 after a corrupt record is not byte-identical to the first run" >&2
+    diff "$smoke_dir/first.out" "$smoke_dir/fourth.out" >&2 || true
+    exit 1
+fi
+if ! grep -q 'campaign: [0-9]* shards — [0-9]* hits, 1 misses, 0 cancelled' \
+    "$smoke_dir/fourth.err"; then
+    echo "error: fig5 after a corrupt record did not re-run exactly one shard:" >&2
+    cat "$smoke_dir/fourth.err" >&2
+    exit 1
+fi
+echo "ok: second run 100% cache hits, stdout byte-identical; a torn manifest tail costs no hits; a corrupt record costs one miss"
 
 step "fleet smoke test (fig5 --exec process: identical output, then all hits)"
 # The same fig5 campaign executed on worker OS processes over the framed

@@ -8,12 +8,12 @@
 //! reflects the baseline's own measurement noise instead of treating a
 //! recorded median as gospel.
 //!
-//! The parser below is a minimal recursive-descent JSON reader for that
-//! one schema (objects, strings, numbers, arrays). It is hand-rolled for
-//! the same reason as `spider_core::report`'s: the workspace is
-//! registry-free by contract.
+//! The text is parsed by `sim_engine::json`; this module checks the
+//! artifact schema on top of it.
 
 use std::path::Path;
+
+use sim_engine::json::{self, Value};
 
 /// One bench's committed measurement: its name and raw per-batch
 /// samples in ns/iteration.
@@ -43,59 +43,40 @@ impl Baseline {
             .map_err(|e| format!("cannot parse baseline {}: {e}", path.display()))
     }
 
-    /// Parse baseline JSON (the bench artifact schema).
+    /// Parse baseline JSON (the bench artifact schema). Every sample must
+    /// be a positive number; booleans and `null` are rejected.
     pub fn from_json(text: &str) -> Result<Baseline, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let root = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err("trailing characters after the root object".to_string());
-        }
-        let Value::Object(fields) = root else {
-            return Err("baseline root is not an object".to_string());
-        };
-        let target = match find(&fields, "target") {
-            Some(Value::String(s)) => s.clone(),
-            _ => return Err("baseline has no string \"target\" field".to_string()),
-        };
-        let Some(Value::Array(entries)) = find(&fields, "benches") else {
-            return Err("baseline has no \"benches\" array".to_string());
-        };
+        let root = json::parse(text).map_err(|e| e.to_string())?;
+        let target = root
+            .get("target")
+            .and_then(Value::as_str)
+            .ok_or("baseline has no string \"target\" field")?
+            .to_string();
+        let entries = root
+            .get("benches")
+            .and_then(Value::as_array)
+            .ok_or("baseline has no \"benches\" array")?;
         let mut benches = Vec::new();
         for entry in entries {
-            let Value::Object(bench) = entry else {
-                return Err("\"benches\" entry is not an object".to_string());
+            let name = entry
+                .get("name")
+                .and_then(Value::as_str)
+                .ok_or("bench entry has no string \"name\"")?
+                .to_string();
+            let Some(values) = entry.get("samples_ns").and_then(Value::as_array) else {
+                return Err(format!(
+                    "bench {name:?} has no \"samples_ns\" array — re-capture the baseline \
+                     with this harness version"
+                ));
             };
-            let name = match find(bench, "name") {
-                Some(Value::String(s)) => s.clone(),
-                _ => return Err("bench entry has no string \"name\"".to_string()),
-            };
-            let samples_ns = match find(bench, "samples_ns") {
-                Some(Value::Array(vals)) => {
-                    let mut out = Vec::with_capacity(vals.len());
-                    for v in vals {
-                        match v {
-                            Value::Number(x) if x.is_finite() && *x > 0.0 => out.push(*x),
-                            Value::Number(_) => {
-                                return Err(format!(
-                                    "bench {name:?} has a non-finite or non-positive sample"
-                                ))
-                            }
-                            _ => return Err(format!("bench {name:?} samples are not numbers")),
-                        }
-                    }
-                    out
+            let mut samples_ns = Vec::with_capacity(values.len());
+            for v in values {
+                match v.as_f64() {
+                    Some(x) if x > 0.0 => samples_ns.push(x),
+                    Some(_) => return Err(format!("bench {name:?} has a non-positive sample")),
+                    None => return Err(format!("bench {name:?} samples are not numbers")),
                 }
-                _ => {
-                    return Err(format!(
-                        "bench {name:?} has no \"samples_ns\" array — re-capture the baseline \
-                         with this harness version"
-                    ))
-                }
-            };
+            }
             if samples_ns.is_empty() {
                 return Err(format!("bench {name:?} has an empty sample array"));
             }
@@ -113,138 +94,6 @@ impl Baseline {
             .iter()
             .find(|b| b.name == name)
             .map(|b| b.samples_ns.as_slice())
-    }
-}
-
-/// Locate a key in an object's field list.
-pub(crate) fn find<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// The artifact schema's value space. Booleans/null never appear in what
-/// the harness writes, so they are parse errors — stricter is safer for
-/// a gating input. Shared with `crate::trajectory`, which reads the same
-/// schema one JSONL line at a time.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Value {
-    Number(f64),
-    String(String),
-    Array(Vec<Value>),
-    Object(Vec<(String, Value)>),
-}
-
-pub(crate) struct Parser<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    pub(crate) fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, byte: u8, what: &'static str) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {what} at byte {}", self.pos))
-        }
-    }
-
-    pub(crate) fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(_) => Ok(Value::Number(self.number()?)),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.eat(b'{', "'{'")?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':', "':' after key")?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.eat(b'[', "'['")?;
-        let mut values = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(values));
-        }
-        loop {
-            values.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(values));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"', "'\"'")?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'"' => {
-                    let s = core::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "string is not UTF-8".to_string())?
-                        .to_string();
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                // Harness-emitted names/targets are plain identifiers;
-                // escapes are out of schema.
-                b'\\' => return Err(format!("escape in string at byte {}", self.pos)),
-                _ => self.pos += 1,
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        core::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or_else(|| format!("expected a number at byte {start}"))
     }
 }
 
@@ -269,6 +118,14 @@ mod tests {
     }
 
     #[test]
+    fn the_committed_baseline_parses() {
+        let b = Baseline::from_json(include_str!("../benches/baselines/des_core.json"))
+            .expect("committed baseline");
+        assert_eq!(b.target, "des_core");
+        assert!(!b.benches.is_empty());
+    }
+
+    #[test]
     fn rejects_summary_only_baselines() {
         let legacy = r#"{"target":"t","benches":[{"name":"a","median_ns":5.0}]}"#;
         let err = Baseline::from_json(legacy).expect_err("no samples → error");
@@ -285,11 +142,15 @@ mod tests {
             r#"{"target":"t","benches":[{"name":"a","samples_ns":[]}]}"#,
             r#"{"target":"t","benches":[{"name":"a","samples_ns":[1e999]}]}"#,
             r#"{"target":"t","benches":[{"name":"a","samples_ns":[-3.0]}]}"#,
+            r#"{"target":"t","benches":[{"name":"a","samples_ns":[true]}]}"#,
+            r#"{"target":"t","benches":[{"name":"a","samples_ns":[null]}]}"#,
             r#"{"target":"t","benches":[{"name":"a","samples_ns":[1.0]}] extra"#,
             r#"{"target":5,"benches":[{"name":"a","samples_ns":[1.0]}]}"#,
         ] {
             assert!(Baseline::from_json(bad).is_err(), "accepted: {bad}");
         }
+        // Deep enough to overflow the stack of an unbounded recursive parser.
+        assert!(Baseline::from_json(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -37,6 +37,8 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use sim_engine::json::quote;
+
 use crate::baseline::Baseline;
 use crate::stats::{self, Ci, CompareConfig, Comparison, Verdict};
 
@@ -636,8 +638,8 @@ impl Harness {
     /// raw `samples_ns` arrays ride next to the summary statistics.
     fn json_artifact(&self) -> String {
         let mut out = format!(
-            "{{\"target\":\"{}\",\"budget_ms\":{},\"benches\":[",
-            self.target,
+            "{{\"target\":{},\"budget_ms\":{},\"benches\":[",
+            quote(&self.target),
             self.opts.budget.as_millis()
         );
         for (i, s) in self.stats.iter().enumerate() {
@@ -645,10 +647,10 @@ impl Harness {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"min_ns\":{:.1},\"median_ns\":{:.1},\"mean_ns\":{:.1},\
+                "{{\"name\":{},\"min_ns\":{:.1},\"median_ns\":{:.1},\"mean_ns\":{:.1},\
                  \"ci_lo_ns\":{:.1},\"ci_hi_ns\":{:.1},\"confidence\":{},\"batches\":{},\
                  \"iters\":{}",
-                s.name,
+                quote(&s.name),
                 s.min_ns,
                 s.median_ns,
                 s.mean_ns,
@@ -689,7 +691,7 @@ impl Harness {
         }
         out.push(']');
         for (key, value) in &self.extras {
-            out.push_str(&format!(",\"{key}\":{value}"));
+            out.push_str(&format!(",{}:{value}", quote(key)));
         }
         out.push_str("}\n");
         out
@@ -697,14 +699,14 @@ impl Harness {
 
     /// One JSONL line per bench for the per-commit trajectory artifact.
     fn trajectory_lines(&self) -> String {
-        let commit = self.opts.commit.as_deref().unwrap_or("unknown");
+        let commit = quote(self.opts.commit.as_deref().unwrap_or("unknown"));
+        let target = quote(&self.target);
         let mut out = String::new();
         for s in &self.stats {
             out.push_str(&format!(
-                "{{\"commit\":\"{commit}\",\"target\":\"{}\",\"bench\":\"{}\",\
+                "{{\"commit\":{commit},\"target\":{target},\"bench\":{},\
                  \"median_ns\":{:.1},\"ci_lo_ns\":{:.1},\"ci_hi_ns\":{:.1},\"batches\":{}",
-                self.target,
-                s.name,
+                quote(&s.name),
                 s.median_ns,
                 s.ci.lo,
                 s.ci.hi,
@@ -1064,5 +1066,20 @@ mod tests {
             assert!(row.ends_with('}'));
             assert!(row.contains("\"ci_lo_ns\":"));
         }
+    }
+
+    #[test]
+    fn artifact_and_trajectory_escape_names_and_commit() {
+        let mut h = test_harness(20, None);
+        h.target = "t\"x".to_string();
+        h.opts.commit = Some("a\"b\\c".to_string());
+        h.bench("we\"ird\\name", || 1u64);
+        let points = crate::trajectory::parse_lines(&h.trajectory_lines()).expect("line parses");
+        assert_eq!(points[0].commit, "a\"b\\c");
+        assert_eq!(points[0].target, "t\"x");
+        assert_eq!(points[0].bench, "we\"ird\\name");
+        let artifact = crate::baseline::Baseline::from_json(&h.json_artifact()).expect("parses");
+        assert_eq!(artifact.target, "t\"x");
+        assert_eq!(artifact.benches[0].name, "we\"ird\\name");
     }
 }

@@ -14,7 +14,8 @@
 //! to a human, because the log spans machines and days and a hard
 //! threshold across that much environment would cry wolf.
 
-use crate::baseline::{find, Parser, Value};
+use sim_engine::json::{self, Value};
+
 use crate::timer::fmt_ns;
 
 /// One `BENCH_trajectory.jsonl` line.
@@ -67,24 +68,13 @@ pub fn parse_lines(text: &str) -> Result<Vec<TrajectoryPoint>, String> {
 }
 
 fn parse_line(line: &str) -> Result<TrajectoryPoint, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let root = json::parse(line).map_err(|e| e.to_string())?;
+    let string = |key: &str| match root.get(key).and_then(Value::as_str) {
+        Some(s) => Ok(s.to_string()),
+        None => Err(format!("missing string field {key:?}")),
     };
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing characters after the line object".to_string());
-    }
-    let Value::Object(fields) = root else {
-        return Err("line is not an object".to_string());
-    };
-    let string = |key: &str| match find(&fields, key) {
-        Some(Value::String(s)) => Ok(s.clone()),
-        _ => Err(format!("missing string field {key:?}")),
-    };
-    let number = |key: &str| match find(&fields, key) {
-        Some(Value::Number(x)) if x.is_finite() && *x > 0.0 => Ok(*x),
+    let number = |key: &str| match root.get(key).and_then(Value::as_f64) {
+        Some(x) if x > 0.0 => Ok(x),
         _ => Err(format!("missing positive number field {key:?}")),
     };
     Ok(TrajectoryPoint {

@@ -149,6 +149,9 @@ mod tests {
         fs::write(cache.record_path("bad"), "{\"v\":1,\"truncated").expect("write");
         assert!(cache.contains("bad"));
         assert!(cache.load("bad").is_none());
+        // Deep enough to overflow the stack of an unbounded recursive parser.
+        fs::write(cache.record_path("deep"), "{\"v\":".repeat(200_000)).expect("write");
+        assert!(cache.load("deep").is_none());
         let _ = fs::remove_dir_all(&root);
     }
 }

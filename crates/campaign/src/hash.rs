@@ -1,17 +1,21 @@
 //! Content addressing for campaign shards.
 //!
 //! A shard's identity is the hash of its **full input**: a code
-//! fingerprint (crate version + run-record schema revision) concatenated
-//! with the complete `WorldConfig` — seed, sites, motion, driver policy,
-//! TCP parameters, duration, workload — rendered through its `Debug`
-//! implementation. `Debug` output is a pure function of the
-//! configuration (every field is a struct, enum, scalar, or `Vec`; no
-//! hash maps, no addresses), and Rust formats floats in their
-//! shortest-roundtrip form, so the rendering is deterministic across
-//! runs and platforms. Any change to any field — a different seed, one
-//! more AP, a 1 ms timer tweak — therefore changes the hash and misses
-//! the cache.
+//! fingerprint (crate version + run-record schema revision) followed by
+//! the complete `WorldConfig` — seed, sites, motion, driver policy, TCP
+//! parameters, duration, workload, fleet — as encoded by
+//! [`spider_core::codec::encode_world`], the same versioned bytes the
+//! fleet worker protocol ships. The codec writes every field at fixed
+//! width (floats as IEEE-754 bit patterns), so the preimage is
+//! deterministic across runs and platforms, and renaming a field does not
+//! move it. Any change to any field — a different seed, one more AP, a
+//! 1 ms timer tweak — changes the hash and misses the cache.
+//!
+//! Caches written while the preimage was the config's `Debug` text miss
+//! once under these keys; their old records stay orphaned under
+//! `reports/` until the cache directory is deleted.
 
+use spider_core::codec::encode_world;
 use spider_core::report::RUN_RECORD_VERSION;
 use spider_core::world::WorldConfig;
 
@@ -57,10 +61,13 @@ pub fn content_hash(bytes: &[u8]) -> String {
     format!("{hi:016x}{lo:016x}")
 }
 
-/// The content-addressed key of one shard.
+/// The content-addressed key of one shard: [`content_hash`] over
+/// `code_fingerprint() ‖ 0x00 ‖ encode_world(world)`.
 pub fn shard_hash(world: &WorldConfig) -> String {
-    let preimage = format!("{}\u{0}{:?}", code_fingerprint(), world);
-    content_hash(preimage.as_bytes())
+    let mut preimage = code_fingerprint().into_bytes();
+    preimage.push(0);
+    preimage.extend_from_slice(&encode_world(world));
+    content_hash(&preimage)
 }
 
 #[cfg(test)]
@@ -147,6 +154,11 @@ mod tests {
         more_sites.sites.push(more_sites.sites[0].clone());
         more_sites.sites[1].id = 2;
         assert_ne!(shard_hash(&more_sites), base_hash);
+        let mut convoy = base.clone();
+        convoy
+            .fleet
+            .push(ClientMotion::Fixed(Point::new(5.0, 10.0)));
+        assert_ne!(shard_hash(&convoy), base_hash);
     }
 
     #[test]

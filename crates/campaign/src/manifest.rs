@@ -20,6 +20,8 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use sim_engine::json::{self, quote, Value};
+
 /// One completed shard, as logged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
@@ -52,34 +54,23 @@ impl ManifestEntry {
         )
     }
 
-    /// Parse one line; `None` for anything malformed (corrupt tail).
+    /// Parse one line; `None` for anything malformed (corrupt tail) and
+    /// for any key outside the schema (fleet notes).
     pub fn parse_line(line: &str) -> Option<ManifestEntry> {
-        let mut s = Scanner::new(line.trim());
-        s.eat('{')?;
         let mut shard = None;
         let mut hash = None;
         let mut wall_ms = None;
         let mut cache = None;
         let mut path = None;
-        loop {
-            let key = s.string()?;
-            s.eat(':')?;
+        for (key, value) in object_fields(line)? {
             match key.as_str() {
-                "shard" => shard = Some(s.string()?),
-                "hash" => hash = Some(s.string()?),
-                "wall_ms" => wall_ms = Some(s.integer()?),
-                "cache" => cache = Some(s.string()?),
-                "path" => path = Some(s.string()?),
+                "shard" => shard = Some(into_string(value)?),
+                "hash" => hash = Some(into_string(value)?),
+                "wall_ms" => wall_ms = Some(value.as_u64()?),
+                "cache" => cache = Some(into_string(value)?),
+                "path" => path = Some(into_string(value)?),
                 _ => return None,
             }
-            match s.next_byte()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return None,
-            }
-        }
-        if !s.at_end() {
-            return None;
         }
         let cache_hit = match cache?.as_str() {
             "hit" => true,
@@ -140,32 +131,20 @@ impl FleetNote {
 
     /// Parse one line; `None` for non-fleet or malformed lines.
     pub fn parse_line(line: &str) -> Option<FleetNote> {
-        let mut s = Scanner::new(line.trim());
-        s.eat('{')?;
         let mut kind = None;
         let mut shard = None;
         let mut worker = None;
         let mut attempt = None;
         let mut detail = None;
-        loop {
-            let key = s.string()?;
-            s.eat(':')?;
+        for (key, value) in object_fields(line)? {
             match key.as_str() {
-                "fleet" => kind = Some(s.string()?),
-                "shard" => shard = Some(s.string()?),
-                "worker" => worker = Some(s.integer()?),
-                "attempt" => attempt = Some(s.integer()?),
-                "detail" => detail = Some(s.string()?),
+                "fleet" => kind = Some(into_string(value)?),
+                "shard" => shard = Some(into_string(value)?),
+                "worker" => worker = Some(value.as_u64()?),
+                "attempt" => attempt = Some(value.as_u64()?),
+                "detail" => detail = Some(into_string(value)?),
                 _ => return None,
             }
-            match s.next_byte()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return None,
-            }
-        }
-        if !s.at_end() {
-            return None;
         }
         Some(FleetNote {
             kind: kind?,
@@ -258,101 +237,19 @@ fn utf8_lines(bytes: &[u8]) -> impl Iterator<Item = &str> {
         .filter_map(|line| std::str::from_utf8(line).ok())
 }
 
-/// JSON-quote a string (escapes `"`, `\`, and control characters).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal scanner for the flat string/number objects the manifest
-/// emits.
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(text: &'a str) -> Scanner<'a> {
-        Scanner {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn next_byte(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn eat(&mut self, expected: char) -> Option<()> {
-        (self.next_byte()? == expected as u8).then_some(())
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat('"')?;
-        let mut out = String::new();
-        loop {
-            match self.next_byte()? {
-                b'"' => return Some(out),
-                b'\\' => match self.next_byte()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            code = code * 16 + (self.next_byte()? as char).to_digit(16)?;
-                        }
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                },
-                b => {
-                    // Re-scan from here as UTF-8: collect continuation bytes.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b)?;
-                    let end = start + len;
-                    let chunk = self.bytes.get(start..end)?;
-                    out.push_str(core::str::from_utf8(chunk).ok()?);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn integer(&mut self) -> Option<u64> {
-        let start = self.pos;
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        core::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
+/// The fields of a line holding one JSON object, in document order;
+/// `None` for anything else.
+fn object_fields(line: &str) -> Option<Vec<(String, Value)>> {
+    match json::parse(line).ok()? {
+        Value::Obj(fields) => Some(*fields),
+        _ => None,
     }
 }
 
-/// Byte length of a UTF-8 sequence from its first byte.
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
+/// The contents of a string value, moved out.
+fn into_string(value: Value) -> Option<String> {
+    match value {
+        Value::Str(s) => Some(*s),
         _ => None,
     }
 }
@@ -384,6 +281,12 @@ mod tests {
             let line = e.to_line();
             assert_eq!(ManifestEntry::parse_line(&line), Some(e), "line: {line}");
         }
+        // Older writers escaped every control character as `\u00XX`.
+        let legacy = r#"{"shard":"a\u000ab","hash":"00","wall_ms":1,"cache":"hit","path":"p"}"#;
+        assert_eq!(
+            ManifestEntry::parse_line(legacy).map(|e| e.shard),
+            Some("a\nb".to_string())
+        );
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //!   RNG forking, the experiment harness's fan-out engine.
 //! * [`check`] — the in-tree property-testing harness (seeded cases,
 //!   shrink-by-halving, failure-seed replay).
+//! * [`json`] — the workspace's one JSON reader (a [`json::Value`] tree
+//!   with u64-exact integers and a depth cap) and string quoter.
 //!
 //! The kernel is deliberately dependency-free: `cargo build --offline`
 //! from an empty registry cache must always succeed (enforced by `ci.sh`).
@@ -38,6 +40,7 @@
 
 pub mod check;
 pub mod dist;
+pub mod json;
 pub mod par;
 pub mod queue;
 pub mod rng;

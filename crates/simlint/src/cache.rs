@@ -16,18 +16,18 @@
 //! wrong shape — degrades silently to a cold run: the cache can slow
 //! simlint down, never wrong it.
 //!
-//! The JSON reader below is deliberately minimal (objects, arrays,
-//! strings, booleans, `null`, and *non-negative integers* — the only
-//! shapes the writer emits) and panic-free: every index is checked,
-//! every surprise returns `None`.
+//! Parsing goes through `sim_engine::json`; the schema checks below turn
+//! every surprise — a missing key, a float or negative number where a
+//! line number belongs — into `None`.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::Path;
 
+use sim_engine::json::{self, quote, Value};
+
 use crate::parse::{CallFact, CallKind, FileFacts, FnFact, SiteFact, WaiverDiag, WaiverFact};
-use crate::report::json_string;
 use crate::rules::{Rule, RULES_REVISION};
 
 /// FNV-1a 64-bit over `bytes`.
@@ -76,14 +76,14 @@ pub fn store(path: &Path, entries: &[(String, u64, &FileFacts)]) -> io::Result<(
     }
     let mut out = String::with_capacity(entries.len() * 512);
     out.push_str("{\"fingerprint\": ");
-    out.push_str(&json_string(&fingerprint()));
+    out.push_str(&quote(&fingerprint()));
     out.push_str(", \"files\": [");
     for (i, (rel, hash, facts)) in entries.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("\n {\"path\": ");
-        out.push_str(&json_string(rel));
+        out.push_str(&quote(rel));
         out.push_str(&format!(", \"hash\": \"{hash:016x}\", \"facts\": "));
         write_facts(&mut out, facts);
         out.push('}');
@@ -97,7 +97,7 @@ pub fn store(path: &Path, entries: &[(String, u64, &FileFacts)]) -> io::Result<(
 
 fn write_facts(out: &mut String, f: &FileFacts) {
     out.push_str("{\"rel\": ");
-    out.push_str(&json_string(&f.rel));
+    out.push_str(&quote(&f.rel));
     out.push_str(", \"fns\": [");
     for (i, x) in f.functions.iter().enumerate() {
         if i > 0 {
@@ -106,12 +106,12 @@ fn write_facts(out: &mut String, f: &FileFacts) {
         out.push_str(&format!(
             "{{\"name\": {}, \"qual\": {}, \"mod\": {}, \"line\": {}, \"end\": {}, \
              \"pub\": {}, \"test\": {}}}",
-            json_string(&x.name),
+            quote(&x.name),
             match &x.qualifier {
-                Some(q) => json_string(q),
+                Some(q) => quote(q),
                 None => "null".to_string(),
             },
-            json_string(&x.module),
+            quote(&x.module),
             x.line,
             x.end_line,
             x.is_pub,
@@ -123,7 +123,7 @@ fn write_facts(out: &mut String, f: &FileFacts) {
         if i > 0 {
             out.push(',');
         }
-        let segs: Vec<String> = x.segs.iter().map(|s| json_string(s)).collect();
+        let segs: Vec<String> = x.segs.iter().map(|s| quote(s)).collect();
         out.push_str(&format!(
             "{{\"caller\": {}, \"kind\": \"{}\", \"segs\": [{}], \"line\": {}}}",
             x.caller,
@@ -142,8 +142,8 @@ fn write_facts(out: &mut String, f: &FileFacts) {
         }
         out.push_str(&format!(
             "{{\"rule\": {}, \"detail\": {}, \"line\": {}, \"func\": {}, \"test\": {}}}",
-            json_string(x.rule.name()),
-            json_string(&x.detail),
+            quote(x.rule.name()),
+            quote(&x.detail),
             x.line,
             match x.func {
                 Some(n) => n.to_string(),
@@ -160,7 +160,7 @@ fn write_facts(out: &mut String, f: &FileFacts) {
         out.push_str(&format!(
             "{{\"line\": {}, \"rule\": {}, \"standalone\": {}}}",
             x.line,
-            json_string(x.rule.name()),
+            quote(x.rule.name()),
             x.standalone
         ));
     }
@@ -172,8 +172,8 @@ fn write_facts(out: &mut String, f: &FileFacts) {
         out.push_str(&format!(
             "{{\"line\": {}, \"code\": {}, \"msg\": {}}}",
             x.line,
-            json_string(&x.code),
-            json_string(&x.message)
+            quote(&x.code),
+            quote(&x.message)
         ));
     }
     out.push_str("]}");
@@ -182,294 +182,97 @@ fn write_facts(out: &mut String, f: &FileFacts) {
 // ---------------------------------------------------------------------
 // JSON -> Facts
 
-/// The JSON shapes the writer emits.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-    fn num(&self) -> Option<usize> {
-        match self {
-            Json::Num(n) => usize::try_from(*n).ok(),
-            _ => None,
-        }
-    }
-    fn boolean(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-    fn arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items.as_slice()),
-            _ => None,
-        }
-    }
-}
-
-struct Reader<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-const MAX_DEPTH: usize = 64;
-
-impl<'a> Reader<'a> {
-    fn ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Option<()> {
-        self.ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn lit(&mut self, word: &[u8]) -> bool {
-        if self.b.len() - self.i >= word.len() && &self.b[self.i..self.i + word.len()] == word {
-            self.i += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Option<Json> {
-        if depth > MAX_DEPTH {
-            return None;
-        }
-        self.ws();
-        match self.b.get(self.i)? {
-            b'{' => {
-                self.i += 1;
-                let mut pairs = Vec::new();
-                self.ws();
-                if self.b.get(self.i) == Some(&b'}') {
-                    self.i += 1;
-                    return Some(Json::Obj(pairs));
-                }
-                loop {
-                    self.eat(b'"')?;
-                    let key = self.string_body()?;
-                    self.eat(b':')?;
-                    let val = self.value(depth + 1)?;
-                    pairs.push((key, val));
-                    self.ws();
-                    match self.b.get(self.i)? {
-                        b',' => self.i += 1,
-                        b'}' => {
-                            self.i += 1;
-                            return Some(Json::Obj(pairs));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'[' => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.ws();
-                if self.b.get(self.i) == Some(&b']') {
-                    self.i += 1;
-                    return Some(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.ws();
-                    match self.b.get(self.i)? {
-                        b',' => self.i += 1,
-                        b']' => {
-                            self.i += 1;
-                            return Some(Json::Arr(items));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'"' => {
-                self.i += 1;
-                Some(Json::Str(self.string_body()?))
-            }
-            b't' if self.lit(b"true") => Some(Json::Bool(true)),
-            b'f' if self.lit(b"false") => Some(Json::Bool(false)),
-            b'n' if self.lit(b"null") => Some(Json::Null),
-            b'0'..=b'9' => {
-                let mut n: u64 = 0;
-                while let Some(d @ b'0'..=b'9') = self.b.get(self.i) {
-                    n = n.checked_mul(10)?.checked_add((d - b'0') as u64)?;
-                    self.i += 1;
-                }
-                // Floats/exponents never come from our writer.
-                if matches!(self.b.get(self.i), Some(b'.' | b'e' | b'E')) {
-                    return None;
-                }
-                Some(Json::Num(n))
-            }
-            _ => None,
-        }
-    }
-
-    /// The body of a string whose opening quote is already consumed.
-    fn string_body(&mut self) -> Option<String> {
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i)? {
-                b'"' => {
-                    self.i += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.b.get(self.i)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.b.get(self.i + 1..self.i + 5)?;
-                            let s = std::str::from_utf8(hex).ok()?;
-                            let code = u32::from_str_radix(s, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.i += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.i += 1;
-                }
-                &c if c < 0x80 => {
-                    out.push(c as char);
-                    self.i += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let rest = std::str::from_utf8(self.b.get(self.i..)?).ok()?;
-                    let ch = rest.chars().next()?;
-                    out.push(ch);
-                    self.i += ch.len_utf8();
-                }
-            }
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Option<Json> {
-    let mut r = Reader {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let v = r.value(0)?;
-    r.ws();
-    if r.i == r.b.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
 fn parse_cache(text: &str) -> Option<Cache> {
-    let root = parse_json(text)?;
-    if root.get("fingerprint")?.str()? != fingerprint() {
+    let root = json::parse(text).ok()?;
+    if root.get("fingerprint")?.as_str()? != fingerprint() {
         return None;
     }
     let mut entries = BTreeMap::new();
-    for item in root.get("files")?.arr()? {
-        let rel = item.get("path")?.str()?.to_string();
-        let hash = u64::from_str_radix(item.get("hash")?.str()?, 16).ok()?;
+    for item in items(&root, "files")? {
+        let hash = u64::from_str_radix(item.get("hash")?.as_str()?, 16).ok()?;
         let facts = parse_facts(item.get("facts")?)?;
-        entries.insert(rel, (hash, facts));
+        entries.insert(string(item, "path")?, (hash, facts));
     }
     Some(Cache { entries })
 }
 
-fn parse_facts(v: &Json) -> Option<FileFacts> {
+fn parse_facts(v: &Value) -> Option<FileFacts> {
     let mut facts = FileFacts {
-        rel: v.get("rel")?.str()?.to_string(),
+        rel: string(v, "rel")?,
         ..FileFacts::default()
     };
-    for x in v.get("fns")?.arr()? {
+    for x in items(v, "fns")? {
         facts.functions.push(FnFact {
-            name: x.get("name")?.str()?.to_string(),
+            name: string(x, "name")?,
             qualifier: match x.get("qual")? {
-                Json::Null => None,
-                other => Some(other.str()?.to_string()),
+                Value::Null => None,
+                other => Some(other.as_str()?.to_string()),
             },
-            module: x.get("mod")?.str()?.to_string(),
-            line: x.get("line")?.num()?,
-            end_line: x.get("end")?.num()?,
-            is_pub: x.get("pub")?.boolean()?,
-            test: x.get("test")?.boolean()?,
+            module: string(x, "mod")?,
+            line: index(x, "line")?,
+            end_line: index(x, "end")?,
+            is_pub: x.get("pub")?.as_bool()?,
+            test: x.get("test")?.as_bool()?,
         });
     }
-    for x in v.get("calls")?.arr()? {
+    for x in items(v, "calls")? {
         let mut segs = Vec::new();
-        for s in x.get("segs")?.arr()? {
-            segs.push(s.str()?.to_string());
+        for s in items(x, "segs")? {
+            segs.push(s.as_str()?.to_string());
         }
         facts.calls.push(CallFact {
-            caller: x.get("caller")?.num()?,
-            kind: match x.get("kind")?.str()? {
+            caller: index(x, "caller")?,
+            kind: match x.get("kind")?.as_str()? {
                 "m" => CallKind::Method,
                 "p" => CallKind::Path,
                 _ => return None,
             },
             segs,
-            line: x.get("line")?.num()?,
+            line: index(x, "line")?,
         });
     }
-    for x in v.get("sites")?.arr()? {
+    for x in items(v, "sites")? {
         facts.sites.push(SiteFact {
-            rule: Rule::from_name(x.get("rule")?.str()?)?,
-            detail: x.get("detail")?.str()?.to_string(),
-            line: x.get("line")?.num()?,
+            rule: Rule::from_name(x.get("rule")?.as_str()?)?,
+            detail: string(x, "detail")?,
+            line: index(x, "line")?,
             func: match x.get("func")? {
-                Json::Null => None,
-                other => Some(other.num()?),
+                Value::Null => None,
+                other => Some(usize::try_from(other.as_u64()?).ok()?),
             },
-            test: x.get("test")?.boolean()?,
+            test: x.get("test")?.as_bool()?,
         });
     }
-    for x in v.get("waivers")?.arr()? {
+    for x in items(v, "waivers")? {
         facts.waivers.push(WaiverFact {
-            line: x.get("line")?.num()?,
-            rule: Rule::from_name(x.get("rule")?.str()?)?,
-            standalone: x.get("standalone")?.boolean()?,
+            line: index(x, "line")?,
+            rule: Rule::from_name(x.get("rule")?.as_str()?)?,
+            standalone: x.get("standalone")?.as_bool()?,
         });
     }
-    for x in v.get("diags")?.arr()? {
+    for x in items(v, "diags")? {
         facts.waiver_diags.push(WaiverDiag {
-            line: x.get("line")?.num()?,
-            code: x.get("code")?.str()?.to_string(),
-            message: x.get("msg")?.str()?.to_string(),
+            line: index(x, "line")?,
+            code: string(x, "code")?,
+            message: string(x, "msg")?,
         });
     }
     Some(facts)
+}
+
+/// The string under `key`.
+fn string(v: &Value, key: &str) -> Option<String> {
+    Some(v.get(key)?.as_str()?.to_string())
+}
+
+/// The non-negative integer (a line or an index) under `key`.
+fn index(v: &Value, key: &str) -> Option<usize> {
+    usize::try_from(v.get(key)?.as_u64()?).ok()
+}
+
+/// The array under `key`.
+fn items<'a>(v: &'a Value, key: &str) -> Option<&'a [Value]> {
+    v.get(key)?.as_array()
 }
 
 #[cfg(test)]
@@ -538,19 +341,24 @@ mod tests {
     }
 
     #[test]
-    fn mini_json_rejects_trailing_garbage_and_floats() {
-        assert!(parse_json("{\"a\": 1} extra").is_none());
-        assert!(parse_json("{\"a\": 1.5}").is_none());
-        assert!(parse_json("{\"a\": -1}").is_none());
-        assert_eq!(
-            parse_json("[true, false, null, 7, \"x\\u0041\"]"),
-            Some(Json::Arr(vec![
-                Json::Bool(true),
-                Json::Bool(false),
-                Json::Null,
-                Json::Num(7),
-                Json::Str("xA".to_string()),
-            ]))
-        );
+    fn off_schema_cache_documents_degrade_to_cold() {
+        let facts = extract("crates/spider-core/src/x.rs", "pub fn entry() {}\n");
+        let dir = std::env::temp_dir().join(format!("simlint-cache-shape-{}", std::process::id()));
+        let path = dir.join("cache.json");
+        store(&path, &[("x.rs".to_string(), 1, &facts)]).unwrap();
+        assert_eq!(Cache::load(&path).entries.len(), 1);
+        let good = std::fs::read_to_string(&path).unwrap();
+        let line = "\"line\": 1,";
+        assert!(good.contains(line), "{good}");
+        for bad in [
+            format!("{good} extra"),
+            good.replacen(line, "\"line\": 1.5,", 1),
+            good.replacen(line, "\"line\": -1,", 1),
+            "[".repeat(200_000),
+        ] {
+            std::fs::write(&path, bad).unwrap();
+            assert!(Cache::load(&path).entries.is_empty());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -35,8 +35,9 @@
 //! effectiveness); the exit code is 0 clean / 1 violations / 2 usage or
 //! IO error. `ci.sh` runs it as the first gate, before the build.
 //!
-//! The implementation is deliberately zero-dependency: a hand-rolled
-//! lexer ([`lexer`]) that understands raw strings, char literals vs
+//! The implementation's one dependency is `sim-engine`, for the shared
+//! JSON reader and quoter (`sim_engine::json`). The rest is in-crate: a
+//! hand-rolled lexer ([`lexer`]) that understands raw strings, char literals vs
 //! lifetimes, and nested block comments; a lightweight item parser
 //! ([`parse`]) that recognizes `fn`/`impl`/`trait`/`mod` items, call
 //! sites, and method receivers (so a *definition* of `partial_cmp` is

@@ -1,6 +1,6 @@
 //! The machine-readable summary written to `target/SIMLINT.json`.
 //!
-//! Hand-rolled JSON (the workspace is registry-free); the schema is
+//! Written with `format!` and `sim_engine::json::quote`; the schema is
 //! small and stable:
 //!
 //! ```json
@@ -25,6 +25,8 @@
 //!
 //! `reachability.flagged` includes **waived** findings on purpose: the
 //! artifact is the audit trail for exceptions, not just failures.
+
+use sim_engine::json::quote;
 
 use crate::graph::GraphStats;
 use crate::rules::Violation;
@@ -82,10 +84,10 @@ pub fn json_summary(summary: &Summary) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
-            json_string(&v.file),
+            quote(&v.file),
             v.line,
-            json_string(&v.code),
-            json_string(&v.message)
+            quote(&v.code),
+            quote(&v.message)
         ));
     }
     if !summary.violations.is_empty() {
@@ -113,10 +115,10 @@ pub fn json_summary(summary: &Summary) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"function\": {}, \"file\": {}, \"line\": {}, \"witness\": {}, \"waived\": {}}}",
-            json_string(&e.function),
-            json_string(&e.file),
+            quote(&e.function),
+            quote(&e.file),
             e.line,
-            json_string(&e.witness),
+            quote(&e.witness),
             e.waived
         ));
     }
@@ -124,25 +126,6 @@ pub fn json_summary(summary: &Summary) -> String {
         out.push_str("\n  ");
     }
     out.push_str("]}\n}\n");
-    out
-}
-
-/// Minimal JSON string escaping.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

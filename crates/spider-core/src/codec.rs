@@ -7,9 +7,11 @@
 //! the round trip is exact), enums as one-byte tags, and collections as
 //! u32-counted sequences.
 //!
-//! `decode_world(encode_world(c))` reproduces a configuration whose `Debug`
-//! rendering — the campaign shard-hash preimage — is byte-identical to the
-//! original's, so a decoded shard hashes to the same cache entry.
+//! `decode_world(encode_world(c))` reproduces `c` exactly. The encoding is
+//! the only serialization of a configuration: the campaign shard hash
+//! (`campaign::hash::shard_hash`) hashes these bytes, so the codec must
+//! carry every field, or two configs that differ only in a dropped field
+//! would share a cache key.
 //!
 //! The decoder is total: malformed input yields [`CodecError`], never a
 //! panic. Constructors that panic on bad input (`Route::new`,

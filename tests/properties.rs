@@ -866,7 +866,6 @@ fn segment_wire_len_survives_roundtrip() {
 
 // ---------------------------------------------------- world-config codec
 
-use spider_repro::campaign::hash::shard_hash;
 use spider_repro::mobility::{ApSite, SpeedProfile, Vehicle};
 use spider_repro::spider::codec::{decode_world, encode_world};
 use spider_repro::spider::{ClientMotion, SelectionPolicy, SpiderConfig, WorldConfig};
@@ -960,16 +959,18 @@ fn gen_world(g: &mut Gen) -> WorldConfig {
 }
 
 /// The fleet protocol ships `WorldConfig`s to worker processes, and the
-/// campaign cache keys shards by the config's `Debug` string — so a codec
-/// round-trip must preserve that string exactly (and with it, the shard
-/// hash: a drifting codec would silently re-key the cache).
+/// campaign cache keys shards by the same encoded bytes — so a round trip
+/// must reproduce the config's `Debug` rendering (the check that the
+/// codec carries every field: a dropped field would let two configs share
+/// a cache key) and re-encode to identical bytes.
 #[test]
 fn world_codec_roundtrips_bit_exactly() {
     check("world_codec_roundtrips_bit_exactly", |g| {
         let world = gen_world(g);
-        let decoded = decode_world(&encode_world(&world)).expect("decode");
+        let bytes = encode_world(&world);
+        let decoded = decode_world(&bytes).expect("decode");
         prop_assert_eq!(format!("{decoded:?}"), format!("{world:?}"));
-        prop_assert_eq!(shard_hash(&decoded), shard_hash(&world));
+        prop_assert_eq!(encode_world(&decoded), bytes);
         Ok(())
     });
 }
@@ -1078,7 +1079,7 @@ fn metro_placement_is_invariant_under_channel_plan() {
 
 /// Metro worlds ride the same fleet/cache rails as every other shard, so
 /// a full metro `WorldConfig` (grid deployment + interior drive) must
-/// round-trip the world codec bit-exactly, shard hash included.
+/// round-trip the world codec bit-exactly, re-encoded bytes included.
 #[test]
 fn metro_worlds_roundtrip_the_world_codec() {
     check("metro_worlds_roundtrip_the_world_codec", |g| {
@@ -1096,9 +1097,10 @@ fn metro_worlds_roundtrip_the_world_codec() {
             gen_spider(g),
             Duration::from_secs(g.u64_in(5, 120)),
         );
-        let decoded = decode_world(&encode_world(&world)).expect("decode");
+        let bytes = encode_world(&world);
+        let decoded = decode_world(&bytes).expect("decode");
         prop_assert_eq!(format!("{decoded:?}"), format!("{world:?}"));
-        prop_assert_eq!(shard_hash(&decoded), shard_hash(&world));
+        prop_assert_eq!(encode_world(&decoded), bytes);
         Ok(())
     });
 }
