@@ -52,6 +52,13 @@ cargo build --release --offline --workspace --all-targets
 step "cargo test --offline"
 cargo test -q --offline --workspace
 
+step "bench-e2e tests (its own workspace; golden byte-identity digests)"
+# bench-e2e is a separate Cargo workspace, so the workspace build and
+# test above never compile it. Its golden test pins op 0 of every world
+# workload byte-for-byte, so a library change that breaks the benchmark
+# or moves its output fails here.
+cargo test -q --offline --release --manifest-path bench-e2e/Cargo.toml
+
 step "campaign cache smoke test (fig5 again and after a torn manifest: all hits; after a corrupt record: one miss)"
 smoke_dir=$(mktemp -d target/campaign-smoke.XXXXXX)
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -189,6 +196,20 @@ if ! cmp -s "$smoke_dir/convoy1.out" "$smoke_dir/convoy2.out"; then
     exit 1
 fi
 echo "ok: empty fleet replays the single-client world; 8-client convoy byte-identical across exec modes"
+
+step "cargo fmt --check"
+if cargo fmt --version >/dev/null 2>&1; then
+    cargo fmt --all --check
+else
+    echo "skip: rustfmt not installed"
+fi
+
+step "cargo clippy -D warnings"
+if cargo clippy --version >/dev/null 2>&1; then
+    cargo clippy --offline --workspace --all-targets -- -D warnings
+else
+    echo "skip: clippy not installed"
+fi
 
 step "bench regression check (gating)"
 # The gate runs through ./target/release/bench (built above): cargo bench
@@ -340,19 +361,5 @@ step "bench trajectory (cross-commit drift report, non-gating)"
 # log fails CI.
 "$BENCH" trajectory "$trajectory" || {
     echo "error: bench trajectory could not read $trajectory" >&2; exit 1; }
-
-step "cargo fmt --check"
-if cargo fmt --version >/dev/null 2>&1; then
-    cargo fmt --all --check
-else
-    echo "skip: rustfmt not installed"
-fi
-
-step "cargo clippy -D warnings"
-if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy --offline --workspace --all-targets -- -D warnings
-else
-    echo "skip: clippy not installed"
-fi
 
 printf '\nCI passed.\n'

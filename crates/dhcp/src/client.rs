@@ -115,12 +115,6 @@ enum State {
         server: Ipv4Addr,
     },
     Bound,
-    /// Bound, with a unicast renewal REQUEST in flight (RFC 2131 T1/T2):
-    /// the lease stays usable while renewing.
-    Renewing {
-        ip: Ipv4Addr,
-        server: Ipv4Addr,
-    },
     Failed,
 }
 
@@ -135,8 +129,6 @@ pub struct DhcpClient {
     attempt_started: Option<Instant>,
     cooldown_until: Instant,
     lease: Option<Lease>,
-    /// When the current lease was granted (for T1 computation).
-    bound_at: Option<Instant>,
 }
 
 impl DhcpClient {
@@ -152,12 +144,10 @@ impl DhcpClient {
             attempt_started: None,
             cooldown_until: Instant::ZERO,
             lease: None,
-            bound_at: None,
         }
     }
 
-    /// The active lease, if bound (renewal in flight still counts: the
-    /// current lease remains valid until it expires).
+    /// The active lease, if bound.
     pub fn lease(&self) -> Option<Lease> {
         if self.is_bound() {
             self.lease
@@ -166,47 +156,9 @@ impl DhcpClient {
         }
     }
 
-    /// True once bound (including while a renewal is in flight).
+    /// True once bound.
     pub fn is_bound(&self) -> bool {
-        matches!(self.state, State::Bound | State::Renewing { .. })
-    }
-
-    /// RFC 2131's T1: the instant at which a bound client should start
-    /// renewing — halfway through the lease.
-    pub fn renewal_due(&self) -> Option<Instant> {
-        let lease = self.lease?;
-        let granted = self.bound_at?;
-        Some(granted + lease.expires.saturating_since(granted) / 2)
-    }
-
-    /// Begin a T1 renewal: a unicast REQUEST for the current address. The
-    /// lease stays usable; an ACK extends it, a NAK drops to Idle (the
-    /// address must no longer be used), timer expiries retransmit until
-    /// the lease itself expires.
-    ///
-    /// Returns nothing if the client is not plainly bound.
-    pub fn start_renewal(&mut self, now: Instant) -> Vec<DhcpAction> {
-        let (State::Bound, Some(lease)) = (self.state, self.lease) else {
-            return Vec::new();
-        };
-        if !lease.is_valid(now) {
-            // Too late: the lease lapsed; fall back to idle.
-            self.state = State::Idle;
-            self.timer_gen += 1;
-            return vec![DhcpAction::Failed];
-        }
-        self.state = State::Renewing {
-            ip: lease.ip,
-            server: lease.server,
-        };
-        self.attempt_started = Some(now);
-        let xid = self.next_xid();
-        let mut req = DhcpMessage::request(xid, self.chaddr, lease.ip, lease.server);
-        // RENEWING state: unicast to the leasing server, ciaddr filled,
-        // no server-id option (RFC 2131 §4.3.2).
-        req.ciaddr = lease.ip;
-        req.server_id = None;
-        vec![DhcpAction::Send(req), self.arm()]
+        self.state == State::Bound
     }
 
     /// True while an acquisition is in flight.
@@ -215,11 +167,6 @@ impl DhcpClient {
             self.state,
             State::Selecting | State::Requesting { .. } | State::Rebooting { .. }
         )
-    }
-
-    /// True while a renewal is in flight.
-    pub fn is_renewing(&self) -> bool {
-        matches!(self.state, State::Renewing { .. })
     }
 
     /// Earliest instant a new attempt may start (cooldown after failure).
@@ -335,8 +282,7 @@ impl DhcpClient {
                 vec![DhcpAction::Send(req), self.arm()]
             }
             (State::Requesting { ip, server }, MessageType::Ack)
-            | (State::Rebooting { ip, server }, MessageType::Ack)
-            | (State::Renewing { ip, server }, MessageType::Ack) => {
+            | (State::Rebooting { ip, server }, MessageType::Ack) => {
                 let lease_secs = msg.lease_secs.unwrap_or(3600);
                 let lease = Lease {
                     ip,
@@ -344,7 +290,6 @@ impl DhcpClient {
                     expires: now + Duration::from_secs(lease_secs as u64),
                 };
                 self.lease = Some(lease);
-                self.bound_at = Some(now);
                 self.state = State::Bound;
                 self.timer_gen += 1;
                 vec![DhcpAction::Bound(lease)]
@@ -358,39 +303,12 @@ impl DhcpClient {
                 vec![DhcpAction::Send(d), self.arm()]
             }
             (State::Requesting { .. }, MessageType::Nak) => self.fail(now),
-            (State::Renewing { .. }, MessageType::Nak) => {
-                // The server revoked the address: stop using it at once.
-                self.lease = None;
-                self.state = State::Idle;
-                self.timer_gen += 1;
-                self.attempt_started = None;
-                vec![DhcpAction::Failed]
-            }
             _ => Vec::new(),
         }
     }
 
     /// Feed a retransmit-timer expiry. Stale tokens are ignored.
     pub fn handle_timer(&mut self, token: u64, now: Instant) -> Vec<DhcpAction> {
-        if token == self.timer_gen {
-            if let State::Renewing { ip, server } = self.state {
-                // Renewal retransmits until the lease itself expires, then
-                // the address must be dropped.
-                let lease_live = self.lease.is_some_and(|l| l.is_valid(now));
-                if !lease_live {
-                    self.lease = None;
-                    self.state = State::Idle;
-                    self.timer_gen += 1;
-                    self.attempt_started = None;
-                    return vec![DhcpAction::Failed];
-                }
-                let mut req = DhcpMessage::request(self.xid, self.chaddr, ip, server);
-                req.ciaddr = ip;
-                req.server_id = None;
-                req.secs = self.secs_elapsed(now);
-                return vec![DhcpAction::Send(req), self.arm()];
-            }
-        }
         if token != self.timer_gen || !self.is_acquiring() {
             return Vec::new();
         }
@@ -645,89 +563,6 @@ mod tests {
         // Immediately restartable — no cooldown from an abort.
         let acts = c.start(Instant::from_millis(1), None);
         assert!(!acts.is_empty());
-    }
-
-    /// Bind a client via the full exchange; returns the granted lease.
-    fn bind(c: &mut DhcpClient, t0: Instant) -> Lease {
-        let acts = c.start(t0, None);
-        let xid = sent_xid(&acts);
-        c.handle_message(&DhcpMessage::offer(xid, CH, IP, SRV, 600), t0);
-        let acts = c.handle_message(&DhcpMessage::ack(xid, CH, IP, SRV, 600), t0);
-        match acts[0] {
-            DhcpAction::Bound(l) => l,
-            ref other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn renewal_due_is_half_the_lease() {
-        let mut c = client(DhcpClientConfig::default());
-        let t0 = Instant::from_secs(10);
-        bind(&mut c, t0);
-        // 600 s lease granted at t = 10 s → T1 at 310 s.
-        assert_eq!(c.renewal_due(), Some(Instant::from_secs(310)));
-    }
-
-    #[test]
-    fn renewal_ack_extends_the_lease() {
-        let mut c = client(DhcpClientConfig::default());
-        let t0 = Instant::ZERO;
-        let lease = bind(&mut c, t0);
-        let t1 = Instant::from_secs(300);
-        let acts = c.start_renewal(t1);
-        match &acts[0] {
-            DhcpAction::Send(m) => {
-                assert_eq!(m.msg_type, MessageType::Request);
-                assert_eq!(m.ciaddr, IP, "renewal carries ciaddr");
-                assert_eq!(m.server_id, None, "renewal omits server-id");
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(c.is_renewing());
-        assert!(c.is_bound(), "lease stays usable during renewal");
-        let xid = sent_xid(&acts);
-        let acts = c.handle_message(&DhcpMessage::ack(xid, CH, IP, SRV, 600), t1);
-        match acts[0] {
-            DhcpAction::Bound(renewed) => {
-                assert!(renewed.expires > lease.expires, "lease must extend");
-            }
-            ref other => panic!("{other:?}"),
-        }
-        assert!(!c.is_renewing());
-    }
-
-    #[test]
-    fn renewal_nak_revokes_the_address() {
-        let mut c = client(DhcpClientConfig::default());
-        bind(&mut c, Instant::ZERO);
-        let acts = c.start_renewal(Instant::from_secs(300));
-        let xid = sent_xid(&acts);
-        let acts = c.handle_message(&DhcpMessage::nak(xid, CH, SRV), Instant::from_secs(301));
-        assert_eq!(acts, vec![DhcpAction::Failed]);
-        assert!(!c.is_bound());
-        assert!(c.lease().is_none());
-    }
-
-    #[test]
-    fn renewal_retransmits_until_lease_expiry() {
-        let mut c = client(DhcpClientConfig::default());
-        bind(&mut c, Instant::ZERO); // expires at 600 s
-        let acts = c.start_renewal(Instant::from_secs(300));
-        let mut token = match acts[1] {
-            DhcpAction::ArmTimer { token, .. } => token,
-            _ => panic!(),
-        };
-        // Retransmits while the lease lives…
-        let acts = c.handle_timer(token, Instant::from_secs(400));
-        assert!(matches!(&acts[0], DhcpAction::Send(m) if m.msg_type == MessageType::Request));
-        token = match acts[1] {
-            DhcpAction::ArmTimer { token, .. } => token,
-            _ => panic!(),
-        };
-        // …and gives up the address once it lapses.
-        let acts = c.handle_timer(token, Instant::from_secs(601));
-        assert_eq!(acts, vec![DhcpAction::Failed]);
-        assert!(!c.is_bound());
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! responsiveness also varies per AP, which is exactly why Spider's
 //! join-history AP selection has something to learn.
 
-use sim_engine::dist::Dist;
 use sim_engine::rng::Rng;
 use sim_engine::time::Duration;
 use wifi_mac::channel::Channel;
@@ -310,124 +309,5 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(mix.draw(&mut rng), Channel::CH6);
         }
-    }
-}
-
-/// A fully distribution-parameterized deployment, for environments beyond
-/// the built-in Amherst/Boston presets. Every knob is a [`Dist`], so a
-/// user can model e.g. Pareto-spaced APs with log-normal backhauls.
-#[derive(Debug, Clone)]
-pub struct CustomDeployment {
-    /// Gap between consecutive APs along the road, metres.
-    pub spacing_m: Dist,
-    /// Unsigned lateral offset from the centreline, metres (sign drawn
-    /// separately).
-    pub lateral_m: Dist,
-    /// Channel assignment.
-    pub channel_mix: ChannelMix,
-    /// Backhaul bandwidth, bits/s.
-    pub backhaul_bps: Dist,
-    /// DHCP response-delay floor, seconds.
-    pub dhcp_floor_s: Dist,
-    /// DHCP response-delay ceiling, seconds (clamped above the floor).
-    pub dhcp_ceiling_s: Dist,
-}
-
-impl CustomDeployment {
-    fn validate(&self) {
-        for (name, d) in [
-            ("spacing_m", &self.spacing_m),
-            ("lateral_m", &self.lateral_m),
-            ("backhaul_bps", &self.backhaul_bps),
-            ("dhcp_floor_s", &self.dhcp_floor_s),
-            ("dhcp_ceiling_s", &self.dhcp_ceiling_s),
-        ] {
-            if let Err(e) = d.validate() {
-                // simlint: allow(panic-path) — config validation at deployment construction: an invalid distribution is a caller error that must abort before any AP is placed
-                panic!("CustomDeployment.{name}: {e}");
-            }
-        }
-    }
-}
-
-/// Deploy APs along `route` from distribution-valued parameters.
-pub fn deploy_custom(route: &Route, config: &CustomDeployment, rng: &mut Rng) -> Vec<ApSite> {
-    config.validate();
-    let mut sites = Vec::new();
-    let mut along = config.spacing_m.sample(rng).max(1.0);
-    let mut id = 0u32;
-    while along < route.length() {
-        let centre = route.position_at_distance(along);
-        let lateral = config.lateral_m.sample(rng);
-        let side = if rng.chance(0.5) { 1.0 } else { -1.0 };
-        let floor = config.dhcp_floor_s.sample(rng).max(0.001);
-        let ceiling = config.dhcp_ceiling_s.sample(rng).max(floor + 0.05);
-        sites.push(ApSite {
-            id,
-            position: Point::new(centre.x, centre.y + side * lateral),
-            channel: config.channel_mix.draw(rng),
-            backhaul_bps: (config.backhaul_bps.sample(rng).max(64_000.0)) as u64,
-            dhcp_delay_min: Duration::from_secs_f64(floor),
-            dhcp_delay_max: Duration::from_secs_f64(ceiling),
-        });
-        id += 1;
-        along += config.spacing_m.sample(rng).max(1.0);
-    }
-    sites
-}
-
-#[cfg(test)]
-mod custom_tests {
-    use super::*;
-
-    fn custom() -> CustomDeployment {
-        CustomDeployment {
-            spacing_m: Dist::Exponential { mean: 250.0 },
-            lateral_m: Dist::Uniform { lo: 0.0, hi: 60.0 },
-            channel_mix: ChannelMix::amherst(),
-            backhaul_bps: Dist::LogNormal {
-                mu: 14.2,
-                sigma: 0.6,
-            }, // ≈ 1.8 Mb/s median
-            dhcp_floor_s: Dist::Uniform { lo: 0.1, hi: 0.4 },
-            dhcp_ceiling_s: Dist::Uniform { lo: 0.4, hi: 2.0 },
-        }
-    }
-
-    #[test]
-    fn custom_deployment_produces_wellformed_sites() {
-        let route = Route::straight(Point::new(0.0, 0.0), Point::new(20_000.0, 0.0));
-        let mut rng = Rng::new(42);
-        let sites = deploy_custom(&route, &custom(), &mut rng);
-        assert!(sites.len() > 30, "expected ≈ 80 sites, got {}", sites.len());
-        for s in &sites {
-            assert!(s.dhcp_delay_min < s.dhcp_delay_max);
-            assert!(s.backhaul_bps >= 64_000);
-            assert!(s.position.y.abs() <= 60.0 + 1e-9);
-        }
-        // Both sides of the road are used.
-        assert!(sites.iter().any(|s| s.position.y > 0.0));
-        assert!(sites.iter().any(|s| s.position.y < 0.0));
-    }
-
-    #[test]
-    fn custom_deployment_is_deterministic() {
-        let route = Route::rectangle(2_000.0, 1_000.0);
-        let a = deploy_custom(&route, &custom(), &mut Rng::new(9));
-        let b = deploy_custom(&route, &custom(), &mut Rng::new(9));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.position, y.position);
-            assert_eq!(x.backhaul_bps, y.backhaul_bps);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "CustomDeployment.spacing_m")]
-    fn invalid_distribution_panics() {
-        let mut bad = custom();
-        bad.spacing_m = Dist::Exponential { mean: -1.0 };
-        let route = Route::rectangle(100.0, 100.0);
-        deploy_custom(&route, &bad, &mut Rng::new(1));
     }
 }

@@ -14,8 +14,6 @@
 //!   median ≈ 8 s / mean ≈ 22 s encounter, which calibrations target.
 //! * [`metro`] — metro-scale street-grid deployments (thousands of APs)
 //!   with pluggable channel plans, for the channel-assignment experiment.
-//! * [`waypoints`] — plain-text route import/export, so real street
-//!   polylines can be driven.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,14 +23,9 @@ pub mod encounter;
 pub mod geometry;
 pub mod metro;
 pub mod route;
-pub mod waypoints;
 
-pub use deployment::{
-    deploy_along, deploy_custom, deploy_evenly, ApSite, ChannelMix, CustomDeployment,
-    DeploymentConfig,
-};
+pub use deployment::{deploy_along, deploy_evenly, ApSite, ChannelMix, DeploymentConfig};
 pub use encounter::{encounters, range_intervals, Encounter, EncounterStats};
 pub use geometry::Point;
 pub use metro::{metro_deployment, metro_route, MetroChannelPlan, MetroConfig};
 pub use route::{Route, SpeedProfile, Vehicle};
-pub use waypoints::{format_route, parse_route, WaypointError};

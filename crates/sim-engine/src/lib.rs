@@ -15,11 +15,8 @@
 //!   [`runner::run_until`]).
 //! * [`rng`] — self-contained xoshiro256** PRNG with forkable streams and
 //!   the distributions the paper's models need.
-//! * [`dist`] — a parametric distribution vocabulary for configs.
 //! * [`stats`] — the estimators behind every reported number: streaming
-//!   moments, percentiles/ECDFs, time-weighted averages.
-//! * [`trace`] — bounded, category-filtered event tracing for debugging
-//!   multi-million-event runs.
+//!   moments, percentiles and CDFs.
 //! * [`wire`] — zero-dependency byte buffers ([`wire::Bytes`],
 //!   [`wire::Writer`], [`wire::Reader`]) backing every protocol codec.
 //! * [`par`] — a std-only scoped worker pool with deterministic per-task
@@ -39,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod dist;
 pub mod json;
 pub mod par;
 pub mod queue;
@@ -47,15 +43,12 @@ pub mod rng;
 pub mod runner;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod wire;
 
 pub use check::{check, check_with, CaseResult, Gen};
-pub use dist::Dist;
 pub use queue::{EventId, EventQueue};
 pub use rng::Rng;
-pub use runner::{run_to_quiescence, run_until, Handler};
-pub use stats::{Histogram, Samples, Summary, TimeWeighted};
+pub use runner::{run_until, Handler};
+pub use stats::{Samples, Summary};
 pub use time::{Duration, Instant};
-pub use trace::{Category, Trace};
 pub use wire::{Bytes, Reader, WireError, Writer};

@@ -2,7 +2,7 @@
 //!
 //! Concrete simulations (the Spider world, the Monte-Carlo join simulator)
 //! define an event enum and implement [`Handler`]; [`run_until`] then pumps
-//! events in deterministic order until a deadline or quiescence.
+//! events in deterministic order until a deadline or an empty queue.
 
 use crate::queue::EventQueue;
 use crate::time::Instant;
@@ -25,20 +25,6 @@ pub fn run_until<E, H: Handler<E>>(
 ) -> u64 {
     let mut delivered = 0;
     while let Some((at, event)) = queue.pop_at_or_before(deadline) {
-        handler.handle(at, event, queue);
-        delivered += 1;
-    }
-    delivered
-}
-
-/// Pump all events to quiescence. Returns the number of events delivered.
-///
-/// Only safe for simulations that are guaranteed to stop scheduling (e.g. a
-/// fixed number of trials); worlds with periodic timers must use
-/// [`run_until`].
-pub fn run_to_quiescence<E, H: Handler<E>>(queue: &mut EventQueue<E>, handler: &mut H) -> u64 {
-    let mut delivered = 0;
-    while let Some((at, event)) = queue.pop() {
         handler.handle(at, event, queue);
         delivered += 1;
     }
@@ -80,19 +66,5 @@ mod tests {
         assert_eq!(n, 4); // 0, 100, 200, 300 ms
         assert_eq!(*t.fired_at.last().unwrap(), Instant::from_millis(300));
         assert_eq!(q.peek_time(), Some(Instant::from_millis(400)));
-    }
-
-    #[test]
-    fn run_to_quiescence_drains() {
-        let mut q = EventQueue::new();
-        q.push(Instant::ZERO, ());
-        let mut t = Ticker {
-            period: Duration::from_millis(10),
-            remaining: 5,
-            fired_at: vec![],
-        };
-        let n = run_to_quiescence(&mut q, &mut t);
-        assert_eq!(n, 6);
-        assert!(q.pop().is_none());
     }
 }

@@ -1,16 +1,13 @@
 //! Measurement utilities shared by all experiments.
 //!
-//! Three families of estimator cover everything the paper reports:
+//! Two estimators cover everything the paper reports:
 //!
 //! * [`Summary`] — streaming count/mean/variance/min/max (Welford), used for
 //!   e.g. Table 1's switch-latency mean ± stddev.
-//! * [`Samples`] — a retained sample set with percentiles and empirical CDF
-//!   extraction, used for every CDF figure (Figs. 5, 6, 10–14).
-//! * [`TimeWeighted`] — time-weighted average of a piecewise-constant signal,
-//!   used for connectivity percentage (fraction of time with non-zero
-//!   transfer, Table 2).
+//! * [`Samples`] — a retained sample set with percentiles and CDF
+//!   evaluation, used for every CDF figure (Figs. 5, 6, 10–14).
 
-use crate::time::{Duration, Instant};
+use crate::time::Duration;
 
 /// Streaming summary statistics (Welford's online algorithm).
 #[derive(Debug, Clone, Default)]
@@ -196,24 +193,6 @@ impl Samples {
         idx as f64 / self.values.len() as f64
     }
 
-    /// The empirical CDF sampled at `points` evenly spaced values spanning
-    /// the observed range: `(value, cumulative fraction)` pairs suitable for
-    /// plotting a figure's series.
-    pub fn ecdf(&mut self, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2, "Samples::ecdf: need at least 2 points");
-        self.ensure_sorted();
-        let (Some(&lo), Some(&hi)) = (self.values.first(), self.values.last()) else {
-            return Vec::new();
-        };
-        let span = (hi - lo).max(f64::MIN_POSITIVE);
-        (0..points)
-            .map(|i| {
-                let x = lo + span * i as f64 / (points - 1) as f64;
-                (x, self.cdf_at(x))
-            })
-            .collect()
-    }
-
     /// Merge another sample set into this one.
     pub fn merge(&mut self, other: &Samples) {
         self.values.extend_from_slice(&other.values);
@@ -223,141 +202,6 @@ impl Samples {
     /// Read-only access to the raw values (unsorted order not guaranteed).
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal.
-///
-/// Feed it the signal's value whenever the value *changes*; `finish` closes
-/// the final segment. Used for connectivity percentage: the signal is 1.0
-/// while data flows and 0.0 during a disruption.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_change: Instant,
-    current: f64,
-    weighted_sum: f64,
-    total: Duration,
-    started: bool,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    /// New accumulator; the signal is undefined until the first `set`.
-    pub fn new() -> Self {
-        TimeWeighted {
-            last_change: Instant::ZERO,
-            current: 0.0,
-            weighted_sum: 0.0,
-            total: Duration::ZERO,
-            started: false,
-        }
-    }
-
-    /// Record that the signal takes value `value` from time `at` onward.
-    ///
-    /// # Panics
-    /// Panics if `at` precedes the previous change.
-    pub fn set(&mut self, at: Instant, value: f64) {
-        if self.started {
-            let span = at.since(self.last_change);
-            self.weighted_sum += self.current * span.as_secs_f64();
-            self.total += span;
-        }
-        self.started = true;
-        self.last_change = at;
-        self.current = value;
-    }
-
-    /// Close the final segment at time `at` and return the time-weighted
-    /// average over the observed span (0 if nothing was observed).
-    pub fn finish(&mut self, at: Instant) -> f64 {
-        if self.started {
-            self.set(at, self.current);
-        }
-        if self.total.is_zero() {
-            0.0
-        } else {
-            self.weighted_sum / self.total.as_secs_f64()
-        }
-    }
-
-    /// Total observed span so far.
-    pub fn observed(&self) -> Duration {
-        self.total
-    }
-}
-
-/// A fixed-bin histogram over `[lo, hi)`; out-of-range values clamp to the
-/// end bins. Used for diagnostic output of delay distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "Histogram::new: empty range");
-        assert!(bins > 0, "Histogram::new: zero bins");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            count: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        let n = self.bins.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            n - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * n as f64) as usize
-        };
-        self.bins[idx.min(n - 1)] += 1;
-        self.count += 1;
-    }
-
-    /// Bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// `(bin centre, fraction)` pairs.
-    pub fn normalized(&self) -> Vec<(f64, f64)> {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let centre = self.lo + width * (i as f64 + 0.5);
-                let frac = if self.count == 0 {
-                    0.0
-                } else {
-                    c as f64 / self.count as f64
-                };
-                (centre, frac)
-            })
-            .collect()
     }
 }
 
@@ -426,52 +270,5 @@ mod tests {
         assert_eq!(s.cdf_at(0.5), 0.0);
         assert_eq!(s.cdf_at(2.0), 0.75);
         assert_eq!(s.cdf_at(10.0), 1.0);
-    }
-
-    #[test]
-    fn ecdf_is_monotone_and_spans_range() {
-        let mut s = Samples::new();
-        for i in 0..100 {
-            s.record(i as f64);
-        }
-        let pts = s.ecdf(20);
-        assert_eq!(pts.len(), 20);
-        assert_eq!(pts[0].0, 0.0);
-        assert_eq!(pts[19].0, 99.0);
-        assert!((pts[19].1 - 1.0).abs() < 1e-12);
-        for w in pts.windows(2) {
-            assert!(w[1].1 >= w[0].1, "ECDF must be monotone");
-        }
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new();
-        tw.set(Instant::from_secs(0), 1.0); // connected 0–3s
-        tw.set(Instant::from_secs(3), 0.0); // disrupted 3–4s
-        let avg = tw.finish(Instant::from_secs(4));
-        assert!((avg - 0.75).abs() < 1e-12);
-        assert_eq!(tw.observed(), Duration::from_secs(4));
-    }
-
-    #[test]
-    fn time_weighted_empty_is_zero() {
-        let mut tw = TimeWeighted::new();
-        assert_eq!(tw.finish(Instant::from_secs(5)), 0.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_clamping() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-5.0); // clamps to first bin
-        h.record(0.5);
-        h.record(9.99);
-        h.record(25.0); // clamps to last bin
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.bins()[0], 2);
-        assert_eq!(h.bins()[9], 2);
-        let norm = h.normalized();
-        assert!((norm[0].1 - 0.5).abs() < 1e-12);
-        assert!((norm[0].0 - 0.5).abs() < 1e-12);
     }
 }

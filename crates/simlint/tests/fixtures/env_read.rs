@@ -1,8 +1,8 @@
 // Cross-process byte-identity forbids environment reads in sim code:
 // two workers with different environments must produce identical
 // RunRecords.
-pub fn debug_enabled() -> bool {
-    std::env::var("SPIDER_DEBUG").is_ok()
+pub fn verbose() -> bool {
+    std::env::var("SPIDER_VERBOSE").is_ok()
 }
 
 pub fn manifest_dir() -> &'static str {

@@ -30,6 +30,7 @@ use wifi_mac::radio::RadioConfig;
 use workload::downloads::DownloadPlan;
 
 use crate::config::{SchedulePolicy, SelectionPolicy, SpiderConfig};
+use crate::fleet::CLIENT_ADDR_STRIDE;
 use crate::world::{ClientMotion, WorldConfig};
 use dhcp::client::DhcpClientConfig;
 
@@ -414,6 +415,9 @@ fn put_spider(w: &mut Writer, spider: &SpiderConfig) {
 fn get_spider(r: &mut Reader) -> Result<SpiderConfig, CodecError> {
     let schedule = get_schedule(r)?;
     let max_ifaces = get_usize(r)?;
+    if max_ifaces >= CLIENT_ADDR_STRIDE as usize {
+        return Err(CodecError::Invalid("iface count"));
+    }
     let single_ap = get_bool(r)?;
     let join = JoinConfig {
         use_probe: get_bool(r)?,
@@ -480,7 +484,7 @@ fn get_schedule(r: &mut Reader) -> Result<SchedulePolicy, CodecError> {
         0 => Ok(SchedulePolicy::SingleChannel(get_channel(r)?)),
         1 => {
             let n = r.get_u32()?;
-            if n > MAX_SLICES {
+            if n == 0 || n > MAX_SLICES {
                 return Err(CodecError::Invalid("slice count"));
             }
             let mut slices = Vec::with_capacity(n as usize);
@@ -674,6 +678,26 @@ mod tests {
         assert!(matches!(
             decode_world(&bytes),
             Err(CodecError::Invalid("fleet size"))
+        ));
+    }
+
+    #[test]
+    fn empty_multi_channel_schedule_rejected() {
+        let mut world = fixed_sample(1);
+        world.spider.schedule = SchedulePolicy::MultiChannel { slices: Vec::new() };
+        assert!(matches!(
+            decode_world(&encode_world(&world)),
+            Err(CodecError::Invalid("slice count"))
+        ));
+    }
+
+    #[test]
+    fn iface_count_beyond_address_stride_rejected() {
+        let mut world = fixed_sample(1);
+        world.spider.max_ifaces = CLIENT_ADDR_STRIDE as usize;
+        assert!(matches!(
+            decode_world(&encode_world(&world)),
+            Err(CodecError::Invalid("iface count"))
         ));
     }
 

@@ -34,12 +34,6 @@
 //! each lost handshake message costs a protocol timeout; TCP data frames
 //! get the standard 802.11 retry budget folded into an expected airtime
 //! and residual loss.
-//!
-//! Debug taps (stderr, env-gated, zero-cost when unset):
-//! `SPIDER_DEBUG_TCP` dumps per-second sender state, `SPIDER_DEBUG_RTO`
-//! logs every RTO event, `SPIDER_DEBUG_MEDIUM` logs per-second medium
-//! backlog, `SPIDER_DEBUG_REBUF` logs failed in-flight rebuffers, and
-//! `SPIDER_DEBUG_BH` prints per-AP backhaul drop totals at the end.
 
 use std::cell::Cell;
 
@@ -79,16 +73,6 @@ use crate::selection::{select_aps, Candidate};
 /// IP protocol numbers used as payload tags.
 const PROTO_UDP: u8 = 17;
 const PROTO_TCP: u8 = 6;
-
-/// Is the named `SPIDER_DEBUG_*` stderr gate set? The one sanctioned
-/// environment read in the simulator: it only decides whether debug
-/// lines go to stderr, never feeds simulation state, so RunRecords are
-/// byte-identical with the gates on or off (ci.sh proves exactly that
-/// by diffing runs under different environments).
-fn debug_env(name: &str) -> bool {
-    // simlint: allow(env-read) — debug-only stderr gate; never reaches simulation state or RunRecords
-    std::env::var(name).is_ok()
-}
 
 /// Where the client is over time.
 #[derive(Debug, Clone)]
@@ -386,13 +370,6 @@ impl ApNode {
             .map(|(_, s)| s)
     }
 
-    fn sender(&self, conn: u64) -> Option<&BulkSender> {
-        self.senders
-            .iter()
-            .find(|(c, _)| *c == conn)
-            .map(|(_, s)| s)
-    }
-
     fn remove_sender(&mut self, conn: u64) {
         // `retain` keeps the remaining connections in id order.
         self.senders.retain(|(c, _)| *c != conn);
@@ -510,10 +487,6 @@ struct World {
     next_conn: u64,
     tcp_rtos: u64,
     air_drops: u64,
-    dbg_down_airtime: Duration,
-    dbg_up_airtime: Duration,
-    dbg_down_frames: u64,
-    dbg_up_frames: u64,
 }
 
 impl World {
@@ -546,7 +519,10 @@ impl World {
 
         let initial_channel = match &cfg.spider.schedule {
             SchedulePolicy::SingleChannel(c) => *c,
-            SchedulePolicy::MultiChannel { slices } => slices[0].0,
+            SchedulePolicy::MultiChannel { slices } => {
+                assert!(!slices.is_empty(), "empty multi-channel schedule");
+                slices[0].0
+            }
             SchedulePolicy::ScanWhenIdle { .. } => Channel::CH1,
             SchedulePolicy::AdaptiveChannel { .. } => Channel::CH1,
         };
@@ -570,8 +546,7 @@ impl World {
             queue.push(Instant::from_millis(50), Event::Evaluate { client: c });
         }
         queue.push(Instant::from_secs(1), Event::Maintenance);
-        if let SchedulePolicy::MultiChannel { slices } = &cfg.spider.schedule {
-            assert!(!slices.is_empty(), "empty multi-channel schedule");
+        if matches!(cfg.spider.schedule, SchedulePolicy::MultiChannel { .. }) {
             for c in 0..n_clients {
                 queue.push(Instant::ZERO, Event::ScheduleSlice { client: c, idx: 0 });
             }
@@ -668,10 +643,6 @@ impl World {
             next_conn: 1,
             tcp_rtos: 0,
             air_drops: 0,
-            dbg_down_airtime: Duration::ZERO,
-            dbg_up_airtime: Duration::ZERO,
-            dbg_down_frames: 0,
-            dbg_up_frames: 0,
         };
         (world, queue)
     }
@@ -819,8 +790,6 @@ impl World {
             .saturating_since(now)
             .min(Duration::from_millis(3) * occupancy);
         let arrival = now + contention + airtime;
-        self.dbg_up_airtime += airtime;
-        self.dbg_up_frames += 1;
         // The frame still consumes channel capacity.
         *free = (*free).max(now) + airtime;
         if self.clients[client].rng_phy.chance(delivery) {
@@ -870,8 +839,6 @@ impl World {
         } else {
             self.cfg.phy.airtime(len)
         };
-        self.dbg_down_airtime += airtime;
-        self.dbg_down_frames += 1;
         let arrival = self.seize_medium(channel, now + extra_delay, airtime);
         match target {
             Some(client) => {
@@ -1248,17 +1215,9 @@ impl World {
             // For a PSM station the AP's MAC-retry failure routes a data
             // frame back into the power-save queue rather than dropping it.
             if let FrameBody::Data(payload) = &frame.body {
-                let ok = self.aps[ap]
+                self.aps[ap]
                     .mac
                     .rebuffer_front(frame.addr1, payload.clone(), now);
-                if !ok && debug_env("SPIDER_DEBUG_REBUF") {
-                    eprintln!(
-                        "t={now} rebuffer FAILED ap={ap} assoc={} psm={} buffered={}",
-                        self.aps[ap].mac.is_associated(frame.addr1),
-                        self.aps[ap].mac.in_psm(frame.addr1),
-                        self.aps[ap].mac.buffered_for(frame.addr1)
-                    );
-                }
             }
             return;
         }
@@ -1310,11 +1269,9 @@ impl World {
                 match proto {
                     PROTO_UDP => {
                         if let Ok(msg) = DhcpMessage::decode(body) {
-                            if let Some(mut dhcp) =
-                                self.clients[client].ifaces[iface_idx].dhcp.take()
+                            if let Some(dhcp) = self.clients[client].ifaces[iface_idx].dhcp.as_mut()
                             {
                                 let actions = dhcp.handle_message(&msg, now);
-                                self.clients[client].ifaces[iface_idx].dhcp = Some(dhcp);
                                 self.process_dhcp_actions(client, iface_idx, actions, queue, now);
                             }
                         }
@@ -1328,9 +1285,8 @@ impl World {
                 }
             }
             _ => {
-                if let Some(mut mac) = self.clients[client].ifaces[iface_idx].mac.take() {
+                if let Some(mac) = self.clients[client].ifaces[iface_idx].mac.as_mut() {
                     let actions = mac.handle_frame(&frame);
-                    self.clients[client].ifaces[iface_idx].mac = Some(mac);
                     self.process_mac_actions(client, iface_idx, actions, queue, now);
                 }
             }
@@ -1346,12 +1302,11 @@ impl World {
         queue: &mut EventQueue<Event>,
         now: Instant,
     ) {
-        let Some(mut receiver) = self.clients[client].ifaces[iface_idx].receiver.take() else {
+        let Some(receiver) = self.clients[client].ifaces[iface_idx].receiver.as_mut() else {
             return;
         };
         let mut actions = std::mem::take(&mut self.receiver_actions_scratch);
         receiver.on_segment_into(&seg, now, &mut actions);
-        self.clients[client].ifaces[iface_idx].receiver = Some(receiver);
         for action in actions.drain(..) {
             match action {
                 ReceiverAction::Transmit(ack) => {
@@ -1563,7 +1518,6 @@ impl World {
         let SchedulePolicy::MultiChannel { slices } = &self.cfg.spider.schedule else {
             return;
         };
-        let slices = slices.clone();
         let (target, slice_len) = slices[idx % slices.len()];
         let old = self.clients[client].radio.channel();
         if target != old {
@@ -1719,8 +1673,6 @@ impl World {
         let frame = self.aps[ap].mac.beacon(now);
         let channel = self.aps[ap].site.channel;
         let airtime = self.cfg.phy.airtime(frame.wire_len());
-        self.dbg_down_airtime += airtime;
-        self.dbg_down_frames += 1;
         let arrival = self.seize_medium(channel, now, airtime);
         for client in in_range {
             queue.push(
@@ -1743,15 +1695,6 @@ impl World {
             .iter()
             .map(|a| a.downlink.drops() + a.uplink.drops())
             .sum();
-        if debug_env("SPIDER_DEBUG_BH") {
-            for (i, a) in self.aps.iter().enumerate() {
-                eprintln!(
-                    "ap={i} down_drops={} up_drops={}",
-                    a.downlink.drops(),
-                    a.uplink.drops()
-                );
-            }
-        }
         let psm_drops: u64 = self.aps.iter().map(|a| a.mac.counters().psm_dropped).sum();
         let unassociated_drops: u64 = self
             .aps
@@ -1812,9 +1755,8 @@ impl Handler<Event> for World {
                 if self.clients[client].ifaces[iface].gen != gen {
                     return;
                 }
-                if let Some(mut mac) = self.clients[client].ifaces[iface].mac.take() {
+                if let Some(mac) = self.clients[client].ifaces[iface].mac.as_mut() {
                     let actions = mac.handle_timer(token);
-                    self.clients[client].ifaces[iface].mac = Some(mac);
                     self.process_mac_actions(client, iface, actions, queue, now);
                 }
             }
@@ -1827,9 +1769,8 @@ impl Handler<Event> for World {
                 if self.clients[client].ifaces[iface].gen != gen {
                     return;
                 }
-                if let Some(mut dhcp) = self.clients[client].ifaces[iface].dhcp.take() {
+                if let Some(dhcp) = self.clients[client].ifaces[iface].dhcp.as_mut() {
                     let actions = dhcp.handle_timer(token, now);
-                    self.clients[client].ifaces[iface].dhcp = Some(dhcp);
                     self.process_dhcp_actions(client, iface, actions, queue, now);
                 }
             }
@@ -1847,14 +1788,6 @@ impl Handler<Event> for World {
                     .any(|a| matches!(a, SenderAction::Transmit(_)))
                 {
                     self.tcp_rtos += 1;
-                    if debug_env("SPIDER_DEBUG_RTO") {
-                        let s = self.aps[ap].sender(conn);
-                        eprintln!(
-                            "RTO at {now} conn={conn} srtt={:?} cwnd={:?}",
-                            s.and_then(|x| x.srtt()),
-                            s.map(|x| x.cwnd())
-                        );
-                    }
                 }
                 self.process_sender_actions(ap, conn, &mut actions, queue, now);
                 self.sender_actions_scratch = actions;
@@ -1960,37 +1893,6 @@ impl Handler<Event> for World {
                 }
             }
             Event::Maintenance => {
-                if debug_env("SPIDER_DEBUG_MEDIUM") {
-                    // Index order is channel-number order; never-seized
-                    // channels stay at ZERO, matching the old map's
-                    // "no entry" case.
-                    for (idx, free) in self.medium.iter().enumerate() {
-                        if *free == Instant::ZERO {
-                            continue;
-                        }
-                        let ch = Channel::from_number(idx as u8 + 1);
-                        eprintln!(
-                            "t={now} medium {ch} backlog={} down={}f/{} up={}f/{}",
-                            free.saturating_since(now),
-                            self.dbg_down_frames,
-                            self.dbg_down_airtime,
-                            self.dbg_up_frames,
-                            self.dbg_up_airtime
-                        );
-                    }
-                }
-                if debug_env("SPIDER_DEBUG_TCP") {
-                    for (i, apn) in self.aps.iter().enumerate() {
-                        // Vec order is connection-id order (monotone ids).
-                        for (c, snd) in &apn.senders {
-                            eprintln!(
-                                "t={now} ap={i} conn={c} cwnd={} flight={} srtt={:?} fr={} rto_cnt={} acked={} pump={} retx={}",
-                                snd.cwnd(), snd.flight_bytes(), snd.srtt(), snd.fast_retransmit_count(),
-                                snd.timeout_count(), snd.bytes_acked(), snd.dbg_pump, snd.dbg_retx
-                            );
-                        }
-                    }
-                }
                 // Spatial upkeep, 1 Hz: move every client's cell membership
                 // and sample how many APs each 400 m hearing disc covers —
                 // grid range queries, not scans over `aps`. The mover index

@@ -113,10 +113,6 @@ pub struct BulkSender {
     /// Duplicate ACKs seen since recovery last made forward progress; used
     /// to detect a *lost retransmission* and re-send the front hole.
     stalled_dup_acks: u32,
-    /// Diagnostics: segments emitted by the window pump.
-    pub dbg_pump: u64,
-    /// Diagnostics: segments emitted by retransmission paths.
-    pub dbg_retx: u64,
 }
 
 impl BulkSender {
@@ -144,8 +140,6 @@ impl BulkSender {
             sacked: Vec::new(),
             holes_retransmitted: Vec::new(),
             stalled_dup_acks: 0,
-            dbg_pump: 0,
-            dbg_retx: 0,
         }
     }
 
@@ -254,7 +248,6 @@ impl BulkSender {
             let mut seg = Segment::data(self.conn, self.snd_nxt, len);
             seg.ts_us = now.as_micros();
             self.snd_nxt = seg.seq_end();
-            self.dbg_pump += 1;
             out.push(SenderAction::Transmit(seg));
         }
         // All payload sent: follow with FIN.
@@ -353,7 +346,6 @@ impl BulkSender {
                 let mut seg = Segment::data(self.conn, chunk, len);
                 seg.ts_us = now.as_micros();
                 self.holes_retransmitted.push(chunk);
-                self.dbg_retx += 1;
                 out.push(SenderAction::Transmit(seg));
                 emitted += 1;
             }
@@ -379,7 +371,6 @@ impl BulkSender {
             Segment::data(self.conn, self.snd_una, len)
         };
         seg.ts_us = now.as_micros();
-        self.dbg_retx += 1;
         SenderAction::Transmit(seg)
     }
 

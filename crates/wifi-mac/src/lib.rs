@@ -19,8 +19,6 @@
 //! * [`rates`] — 802.11b multi-rate (1/2/5.5/11 Mb/s) and the ARF
 //!   adaptation algorithm, as an opt-in extension beyond the paper's
 //!   fixed-11 Mb/s assumption.
-//! * [`scan`] — the active probe-sweep procedure (Min/MaxChannelTime),
-//!   the discovery path stock drivers pay a second-plus for.
 //!
 //! All state machines are pure (frames in, actions out) — the event loop
 //! that wires them to virtual time lives in `spider-core`.
@@ -36,7 +34,6 @@ pub mod frame;
 pub mod phy;
 pub mod radio;
 pub mod rates;
-pub mod scan;
 
 pub use addr::MacAddr;
 pub use ap::{ApAction, ApConfig, ApMac};
@@ -46,4 +43,3 @@ pub use frame::{Frame, FrameBody, FrameError, Ssid};
 pub use phy::{LinkQuality, PhyConfig};
 pub use radio::{Radio, RadioConfig};
 pub use rates::{Arf, Rate, RatedPhy};
-pub use scan::{ScanAction, ScanConfig, ScanHit, ScanProcedure};

@@ -2,8 +2,8 @@
 //!
 //! Traffic for the Spider (CoNEXT 2011) reproduction:
 //!
-//! * [`shaper`] — backhaul models: FIFO serializing links and token-bucket
-//!   shapers (the Fig. 9 apparatus).
+//! * [`shaper`] — the backhaul model: a bounded FIFO serializing link
+//!   (the Fig. 9 apparatus).
 //! * [`downloads`] — what the vehicle fetches: saturating bulk HTTP (the
 //!   evaluation workload) or segmented streaming.
 //! * [`mesh`] — the §4.7 usability baseline: synthetic per-user TCP
@@ -19,4 +19,4 @@ pub mod shaper;
 
 pub use downloads::DownloadPlan;
 pub use mesh::{MeshWorkloadParams, UserFlow};
-pub use shaper::{SerialLink, TokenBucket};
+pub use shaper::SerialLink;

@@ -4,8 +4,7 @@
 //! the backhaul bandwidth available through each AP", and its §4.3
 //! observation that urban backhaul is rarely faster than the wireless link
 //! is why multi-AP aggregation pays at all. [`SerialLink`] models a
-//! store-and-forward backhaul pipe (rate + propagation delay, FIFO);
-//! [`TokenBucket`] models a shaper with burst tolerance.
+//! store-and-forward backhaul pipe (rate + propagation delay, FIFO).
 
 use sim_engine::time::{Duration, Instant};
 
@@ -103,64 +102,6 @@ impl SerialLink {
     }
 }
 
-/// A token-bucket shaper: sustained `rate_bps` with a `burst_bytes`
-/// allowance.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    rate_bps: u64,
-    burst_bytes: u64,
-    tokens: f64,
-    last_refill: Instant,
-}
-
-impl TokenBucket {
-    /// A bucket that starts full.
-    ///
-    /// # Panics
-    /// Panics on zero rate or zero burst.
-    pub fn new(rate_bps: u64, burst_bytes: u64) -> TokenBucket {
-        assert!(rate_bps > 0, "TokenBucket: zero rate");
-        assert!(burst_bytes > 0, "TokenBucket: zero burst");
-        TokenBucket {
-            rate_bps,
-            burst_bytes,
-            tokens: burst_bytes as f64,
-            last_refill: Instant::ZERO,
-        }
-    }
-
-    fn refill(&mut self, now: Instant) {
-        let elapsed = now.saturating_since(self.last_refill).as_secs_f64();
-        self.tokens =
-            (self.tokens + elapsed * self.rate_bps as f64 / 8.0).min(self.burst_bytes as f64);
-        self.last_refill = now;
-    }
-
-    /// Try to send `bytes` at `now`: `true` consumes tokens, `false` means
-    /// the packet must wait (see [`TokenBucket::earliest`]).
-    pub fn try_consume(&mut self, now: Instant, bytes: usize) -> bool {
-        self.refill(now);
-        if self.tokens >= bytes as f64 {
-            self.tokens -= bytes as f64;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The earliest instant `bytes` could be sent.
-    pub fn earliest(&mut self, now: Instant, bytes: usize) -> Instant {
-        self.refill(now);
-        if self.tokens >= bytes as f64 {
-            now
-        } else {
-            let deficit = bytes as f64 - self.tokens;
-            let wait = deficit * 8.0 / self.rate_bps as f64;
-            now + Duration::from_secs_f64(wait)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,36 +172,5 @@ mod tests {
             }
         }
         assert!((1_500..1_800).contains(&delivered), "delivered {delivered}");
-    }
-
-    #[test]
-    fn token_bucket_allows_burst_then_throttles() {
-        let mut tb = TokenBucket::new(1_000_000, 10_000);
-        let t0 = Instant::ZERO;
-        assert!(tb.try_consume(t0, 10_000)); // full burst
-        assert!(!tb.try_consume(t0, 1)); // drained
-                                         // After 80 ms, 10 kB·(0.08·125000/10000)… rate is 125 kB/s: 10 ms
-                                         // buys 1250 B.
-        assert!(tb.try_consume(t0 + Duration::from_millis(10), 1_250));
-        assert!(!tb.try_consume(t0 + Duration::from_millis(10), 10));
-    }
-
-    #[test]
-    fn earliest_predicts_admission() {
-        let mut tb = TokenBucket::new(8_000_000, 1_000); // 1 MB/s, 1 kB burst
-        let t0 = Instant::ZERO;
-        assert!(tb.try_consume(t0, 1_000));
-        let at = tb.earliest(t0, 500);
-        // Needs 500 B at 1 MB/s = 0.5 ms.
-        assert_eq!(at, t0 + Duration::from_micros(500));
-        assert!(tb.try_consume(at, 500));
-    }
-
-    #[test]
-    fn bucket_never_exceeds_burst() {
-        let mut tb = TokenBucket::new(1_000_000, 2_000);
-        // A long idle period must not bank more than the burst.
-        assert!(!tb.try_consume(Instant::from_secs(100), 2_001));
-        assert!(tb.try_consume(Instant::from_secs(100), 2_000));
     }
 }

@@ -21,7 +21,7 @@
 //!   channel contention.
 //! * [`model`] — the paper's Eqs. 1–10: join probability and the
 //!   throughput optimizer with its dividing speed.
-//! * [`traffic`] — backhaul shapers, download plans, mesh-user traces.
+//! * [`traffic`] — backhaul links, download plans, mesh-user traces.
 //! * [`spider`] — the driver itself and the full-world simulation.
 //! * [`campaign`] — the resumable, content-addressed experiment-campaign
 //!   orchestrator (cached run records + replayable manifest).
