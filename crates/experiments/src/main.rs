@@ -72,7 +72,8 @@ fn main() {
                 scale.factor = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--scale needs an integer"));
+                    .filter(|&k| k >= 1)
+                    .unwrap_or_else(|| usage("--scale needs a positive integer"));
             }
             "--json" => {
                 i += 1;

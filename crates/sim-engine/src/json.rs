@@ -1,8 +1,8 @@
 //! Zero-dependency JSON: one value tree, one parser, one string quoter.
 //!
 //! Every JSON document the workspace reads — campaign run records and
-//! manifests, bench baselines and trajectory lines, simlint's fact cache —
-//! goes through [`parse`]. Callers keep their own schema checks and error
+//! manifests, bench baselines and trajectory lines — goes through
+//! [`parse`]. Callers keep their own schema checks and error
 //! types on top of the [`Value`] tree. Writers stay `format!` strings,
 //! because their exact bytes are each file's compatibility contract; they
 //! share only [`quote`].
@@ -93,14 +93,6 @@ impl Value {
     pub fn as_object(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Obj(pairs) => Some(pairs.as_slice()),
-            _ => None,
-        }
-    }
-
-    /// The flag of a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -380,7 +372,6 @@ mod tests {
         );
         assert_eq!(std::mem::size_of::<Value>(), 16);
         assert!(items[0].is_null());
-        assert_eq!(items[2].as_bool(), Some(false));
         assert_eq!(items[7].as_str(), Some("xA"));
         assert_eq!(v.get("b").and_then(Value::as_object), Some(&[][..]));
         assert_eq!(v.get("missing"), None);

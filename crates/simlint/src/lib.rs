@@ -31,26 +31,24 @@
 //!
 //! Diagnostics are rustc-style (`file:line: error[rule]: message`) on
 //! stderr; a machine-readable summary lands at `target/SIMLINT.json`
-//! (violations plus call-graph shape, reachability findings, and cache
-//! effectiveness); the exit code is 0 clean / 1 violations / 2 usage or
-//! IO error. `ci.sh` runs it as the first gate, before the build.
+//! (violations plus call-graph shape and reachability findings); the
+//! exit code is 0 clean / 1 violations / 2 usage or IO error. `ci.sh`
+//! runs it as the first gate, before the build.
 //!
 //! The implementation's one dependency is `sim-engine`, for the shared
-//! JSON reader and quoter (`sim_engine::json`). The rest is in-crate: a
+//! JSON string quoter (`sim_engine::json::quote`). The rest is in-crate: a
 //! hand-rolled lexer ([`lexer`]) that understands raw strings, char literals vs
 //! lifetimes, and nested block comments; a lightweight item parser
 //! ([`parse`]) that recognizes `fn`/`impl`/`trait`/`mod` items, call
 //! sites, and method receivers (so a *definition* of `partial_cmp` is
 //! not a call, and `unwrap` in a doc comment is not a panic); a tiered
 //! rule engine ([`rules`]); a workspace call graph with panic
-//! reachability ([`graph`]); a content-hash-keyed fact cache
-//! ([`cache`]) that keeps warm runs sub-second; and a tree walker
-//! ([`walk`]) that ties the pipeline together.
+//! reachability ([`graph`]); and a tree walker ([`walk`]) that ties the
+//! pipeline together in one pass: read, extract, lint, graph, report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod graph;
 pub mod lexer;
 pub mod parse;
@@ -58,14 +56,13 @@ pub mod report;
 pub mod rules;
 pub mod walk;
 
-pub use parse::{extract, FileFacts};
-pub use report::{json_summary, CacheStats, Summary};
-pub use rules::{lint_facts, lint_file, tier_of, Rule, Tier, Violation};
-pub use walk::{analyze_tree, lint_tree, rust_sources, AnalyzeOptions};
+pub use report::{json_summary, Summary};
+pub use rules::Violation;
+pub use walk::analyze_tree;
 
 /// Lint one file's source text as if it lived at `rel` in the workspace
-/// (single-file call graph included). The fixture harness and doc
-/// examples use this; the CLI goes through [`walk::analyze_tree`].
+/// (single-file call graph included). The fixture harness and the rule
+/// tests use this; the CLI goes through [`analyze_tree`].
 pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
-    lint_facts(&[extract(rel, source)])
+    rules::lint_facts(&[parse::extract(rel, source)]).0
 }

@@ -3,12 +3,11 @@
 //! non-zero on any violation.
 //!
 //! ```text
-//! simlint [--root <dir>] [--json <path>] [--cache <path>] [--no-cache] [--quiet]
+//! simlint [--root <dir>] [--json <path>] [--quiet]
 //! ```
 //!
 //! Defaults: root = the workspace this binary was built in (its own
-//! manifest dir's grandparent), json = `<root>/target/SIMLINT.json`,
-//! cache = `<root>/target/simlint-cache.json`.
+//! manifest dir's grandparent), json = `<root>/target/SIMLINT.json`.
 //!
 //! # Exit-code contract
 //!
@@ -24,13 +23,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::{analyze_tree, json_summary, AnalyzeOptions};
+use simlint::{analyze_tree, json_summary};
 
 struct Args {
     root: PathBuf,
     json: Option<PathBuf>,
-    cache: Option<PathBuf>,
-    no_cache: bool,
     quiet: bool,
 }
 
@@ -45,8 +42,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: default_root,
         json: None,
-        cache: None,
-        no_cache: false,
         quiet: false,
     };
     let mut it = std::env::args().skip(1);
@@ -64,18 +59,10 @@ fn parse_args() -> Result<Args, String> {
                         .ok_or_else(|| "--json needs a value".to_string())?,
                 ));
             }
-            "--cache" => {
-                args.cache = Some(PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| "--cache needs a value".to_string())?,
-                ));
-            }
-            "--no-cache" => args.no_cache = true,
             "--quiet" | "-q" => args.quiet = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: simlint [--root <dir>] [--json <path>] [--cache <path>] \
-                     [--no-cache] [--quiet]\n\
+                    "usage: simlint [--root <dir>] [--json <path>] [--quiet]\n\
                      exit codes: 0 clean, 1 violations, 2 usage/IO error"
                 );
                 std::process::exit(0);
@@ -88,19 +75,8 @@ fn parse_args() -> Result<Args, String> {
 
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
-    let opts = AnalyzeOptions {
-        cache_path: if args.no_cache {
-            None
-        } else {
-            Some(
-                args.cache
-                    .clone()
-                    .unwrap_or_else(|| args.root.join("target/simlint-cache.json")),
-            )
-        },
-    };
-    let summary = analyze_tree(&args.root, &opts)
-        .map_err(|e| format!("walking {}: {e}", args.root.display()))?;
+    let summary =
+        analyze_tree(&args.root).map_err(|e| format!("walking {}: {e}", args.root.display()))?;
     for v in &summary.violations {
         eprintln!("{}", v.render());
     }
@@ -113,32 +89,19 @@ fn run() -> Result<bool, String> {
     std::fs::write(&json_path, json_summary(&summary))
         .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
     if !args.quiet {
-        let cache_line = if !summary.cache.enabled {
-            "cache off".to_string()
-        } else if summary.cache.warm() {
-            format!(
-                "cache: {}/{} files warm (100%)",
-                summary.cache.hits, summary.files_checked
-            )
-        } else {
-            format!(
-                "cache: {} warm / {} parsed",
-                summary.cache.hits, summary.cache.misses
-            )
-        };
         let graph_line = format!(
             "graph: {} fns, {} edges, {} panic sources",
             summary.graph.functions, summary.graph.edges, summary.graph.panic_sources
         );
         if summary.is_clean() {
             println!(
-                "simlint: {} files checked, 0 errors; {cache_line}; {graph_line} ({})",
+                "simlint: {} files checked, 0 errors; {graph_line} ({})",
                 summary.files_checked,
                 json_path.display()
             );
         } else {
             eprintln!(
-                "simlint: {} files checked, {} error(s); {cache_line}; {graph_line}; see {}",
+                "simlint: {} files checked, {} error(s); {graph_line}; see {}",
                 summary.files_checked,
                 summary.violations.len(),
                 json_path.display()

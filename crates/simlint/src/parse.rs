@@ -25,10 +25,9 @@
 //! in a `PartialOrd` impl is not a `partial_cmp` call, and a function
 //! named `unwrap` is not an `unwrap()` site.
 //!
-//! Everything extracted here is pure data ([`FileFacts`]) keyed only by
-//! the file's contents, which is what makes the incremental cache
-//! ([`crate::cache`]) sound: facts are cached per content hash, and the
-//! cheap phases (rule matching, graph analysis) re-run every time.
+//! Everything extracted here is pure data ([`FileFacts`]) that depends
+//! only on the file's path and contents; rule matching and the graph
+//! analysis consume it afterwards.
 
 use crate::lexer::{lex, test_scoped_lines, LexedFile};
 use crate::rules::{parse_waiver, Rule};
@@ -135,10 +134,8 @@ pub struct WaiverDiag {
     pub message: String,
 }
 
-/// Everything simlint knows about one file, as pure data. This is the
-/// unit the incremental cache stores: it is a function of the file's
-/// bytes only, so a content-hash hit can skip lexing and parsing while
-/// the rule and graph phases still re-run fresh every time.
+/// Everything simlint knows about one file, as pure data: the input of
+/// the rule and graph phases.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileFacts {
     /// Workspace-relative path with forward slashes.
@@ -158,19 +155,13 @@ pub struct FileFacts {
 /// Lex and parse `source` into its fact table.
 pub fn extract(rel: &str, source: &str) -> FileFacts {
     let lexed = lex(source);
-    let scoped = test_scoped_lines(&lexed);
-    extract_lexed(rel, &lexed, &scoped)
-}
-
-/// Parse an already-lexed file (used by [`crate::rules::lint_file`]).
-pub fn extract_lexed(rel: &str, lexed: &LexedFile, test_scoped: &[bool]) -> FileFacts {
     let mut facts = FileFacts {
         rel: rel.to_string(),
         ..FileFacts::default()
     };
-    collect_waivers(lexed, &mut facts);
-    let toks = tokenize(lexed);
-    parse_tokens(&toks, test_scoped, &mut facts);
+    collect_waivers(&lexed, &mut facts);
+    let toks = tokenize(&lexed);
+    parse_tokens(&toks, &test_scoped_lines(&lexed), &mut facts);
     facts
 }
 

@@ -10,7 +10,6 @@
 //!   "violations": [
 //!     {"file": "…", "line": 12, "rule": "unordered-map", "message": "…"}
 //!   ],
-//!   "cache": {"enabled": true, "hits": 115, "misses": 0, "warm": true},
 //!   "call_graph": {"functions": 2481, "edges": 7010, "public_functions": 1024},
 //!   "reachability": {
 //!     "panic_sources": 0,
@@ -31,24 +30,6 @@ use sim_engine::json::quote;
 use crate::graph::GraphStats;
 use crate::rules::Violation;
 
-/// Cache effectiveness for one run.
-#[derive(Debug, Clone, Default)]
-pub struct CacheStats {
-    /// False when `--no-cache` disabled it.
-    pub enabled: bool,
-    /// Files whose facts came from the cache.
-    pub hits: usize,
-    /// Files lexed + parsed fresh.
-    pub misses: usize,
-}
-
-impl CacheStats {
-    /// True when every file hit the cache.
-    pub fn warm(&self) -> bool {
-        self.misses == 0 && self.hits > 0
-    }
-}
-
 /// Aggregate lint outcome for one run.
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
@@ -56,8 +37,6 @@ pub struct Summary {
     pub files_checked: usize,
     /// Everything flagged, sorted by file then line.
     pub violations: Vec<Violation>,
-    /// Incremental-cache effectiveness.
-    pub cache: CacheStats,
     /// Call-graph shape + reachability findings.
     pub graph: GraphStats,
 }
@@ -94,13 +73,6 @@ pub fn json_summary(summary: &Summary) -> String {
         out.push_str("\n  ");
     }
     out.push_str("],\n");
-    out.push_str(&format!(
-        "  \"cache\": {{\"enabled\": {}, \"hits\": {}, \"misses\": {}, \"warm\": {}}},\n",
-        summary.cache.enabled,
-        summary.cache.hits,
-        summary.cache.misses,
-        summary.cache.warm()
-    ));
     out.push_str(&format!(
         "  \"call_graph\": {{\"functions\": {}, \"edges\": {}, \"public_functions\": {}}},\n",
         summary.graph.functions, summary.graph.edges, summary.graph.public_functions
@@ -139,38 +111,14 @@ mod tests {
     fn clean_summary_serializes() {
         let s = Summary {
             files_checked: 3,
-            cache: CacheStats {
-                enabled: true,
-                hits: 3,
-                misses: 0,
-            },
             ..Summary::default()
         };
-        let json = json_summary(&s);
-        assert!(json.contains("\"files_checked\": 3"));
-        assert!(json.contains("\"errors\": 0"));
-        assert!(json.contains("\"violations\": []"));
-        assert!(json.contains(
-            "\"cache\": {\"enabled\": true, \"hits\": 3, \"misses\": 0, \"warm\": true}"
-        ));
-        assert!(json.contains("\"call_graph\""));
-        assert!(json.contains("\"reachability\""));
-    }
-
-    #[test]
-    fn cold_run_is_not_warm() {
-        let s = CacheStats {
-            enabled: true,
-            hits: 0,
-            misses: 5,
-        };
-        assert!(!s.warm());
-        let mixed = CacheStats {
-            enabled: true,
-            hits: 4,
-            misses: 1,
-        };
-        assert!(!mixed.warm());
+        assert_eq!(
+            json_summary(&s),
+            "{\n  \"files_checked\": 3,\n  \"errors\": 0,\n  \"violations\": [],\n  \
+             \"call_graph\": {\"functions\": 0, \"edges\": 0, \"public_functions\": 0},\n  \
+             \"reachability\": {\"panic_sources\": 0, \"flagged\": []}\n}\n"
+        );
     }
 
     #[test]

@@ -64,8 +64,8 @@
 //! cannot linger — including waivers orphaned by a rule engine that got
 //! more precise.
 
-use crate::lexer::LexedFile;
-use crate::parse::{extract_lexed, FileFacts, WaiverFact};
+use crate::graph::GraphStats;
+use crate::parse::{FileFacts, WaiverFact};
 
 /// Every deniable rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -118,11 +118,6 @@ impl Rule {
         }
     }
 }
-
-/// A fingerprint of the rule engine, baked into the incremental cache:
-/// bump [`RULES_REVISION`] whenever parsing or rule semantics change so
-/// stale cached facts can never survive a tool upgrade.
-pub const RULES_REVISION: u32 = 2;
 
 /// Which rule set applies to a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -449,41 +444,32 @@ pub fn lint_local(facts: &FileFacts) -> LocalOutcome {
     out
 }
 
-/// Lint one lexed file, including single-file `panic-reach` analysis.
-///
-/// `rel_path` is the workspace-relative path (used for tier selection and
-/// diagnostics); `test_scoped` marks lines inside `#[cfg(test)]` items.
-pub fn lint_file(rel_path: &str, file: &LexedFile, test_scoped: &[bool]) -> Vec<Violation> {
-    let facts = extract_lexed(rel_path, file, test_scoped);
-    lint_facts(&[facts])
-}
-
 /// Lint a set of files' facts as one workspace: local rules per file,
-/// then the cross-file call-graph analysis.
-pub fn lint_facts(files: &[FileFacts]) -> Vec<Violation> {
+/// then the cross-file call-graph analysis. Returns the violations,
+/// sorted by [`sort_violations`], and the call graph's shape.
+pub(crate) fn lint_facts(files: &[FileFacts]) -> (Vec<Violation>, GraphStats) {
     let outcomes: Vec<LocalOutcome> = files.iter().map(lint_local).collect();
     let graph = crate::graph::analyze(files, &outcomes);
     let mut violations: Vec<Violation> = outcomes.into_iter().flat_map(|o| o.violations).collect();
     violations.extend(graph.violations);
+    sort_violations(&mut violations);
+    (violations, graph.stats)
+}
+
+/// Order violations by file, then line, then rule name.
+pub(crate) fn sort_violations(violations: &mut [Violation]) {
     violations.sort_by(|a, b| {
         a.file
             .cmp(&b.file)
             .then_with(|| a.line.cmp(&b.line))
             .then_with(|| a.code.cmp(&b.code))
     });
-    violations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::{lex, test_scoped_lines};
-
-    fn run(path: &str, src: &str) -> Vec<Violation> {
-        let lexed = lex(src);
-        let scoped = test_scoped_lines(&lexed);
-        lint_file(path, &lexed, &scoped)
-    }
+    use crate::lint_source as run;
 
     const SIM: &str = "crates/spider-core/src/world.rs";
 

@@ -1,17 +1,14 @@
 //! Workspace traversal: find every `.rs` file under a root, extract
-//! facts (through the incremental cache when enabled), lint locally,
-//! run the call-graph analysis, and aggregate everything into a
-//! [`Summary`].
+//! facts, lint locally, run the call-graph analysis, and aggregate
+//! everything into a [`Summary`].
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::cache::{fnv1a64, store, Cache};
-use crate::graph;
 use crate::parse::{extract, FileFacts};
-use crate::report::{CacheStats, Summary};
-use crate::rules::{known_crate, lint_local, Violation};
+use crate::report::Summary;
+use crate::rules::{known_crate, lint_facts, sort_violations, Violation};
 
 /// Directories never descended into, wherever they appear.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github"];
@@ -44,13 +41,6 @@ pub fn rust_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
     }
     out.sort();
     Ok(out)
-}
-
-/// How [`analyze_tree`] should use the incremental cache.
-#[derive(Debug, Clone, Default)]
-pub struct AnalyzeOptions {
-    /// Where the fact cache lives; `None` disables caching entirely.
-    pub cache_path: Option<PathBuf>,
 }
 
 /// Every directory under `root/crates/` with no entry in the tier table
@@ -86,83 +76,29 @@ fn unclassified_crates(root: &Path) -> io::Result<Vec<Violation>> {
     Ok(out)
 }
 
-/// The full pipeline over every `.rs` file under `root`: hash + fact
-/// extraction (cache-aware), per-file rules, call-graph reachability,
-/// and the default-deny crate-tier check.
-pub fn analyze_tree(root: &Path, opts: &AnalyzeOptions) -> io::Result<Summary> {
-    let sources = rust_sources(root)?;
-    let cache = match &opts.cache_path {
-        Some(p) => Cache::load(p),
-        None => Cache::default(),
-    };
-    let mut stats = CacheStats {
-        enabled: opts.cache_path.is_some(),
-        hits: 0,
-        misses: 0,
-    };
-
-    let mut files: Vec<FileFacts> = Vec::with_capacity(sources.len());
-    let mut hashes: Vec<u64> = Vec::with_capacity(sources.len());
-    for path in &sources {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source = fs::read_to_string(path)?;
-        let hash = fnv1a64(source.as_bytes());
-        let facts = match cache.lookup(&rel, hash) {
-            Some(cached) => {
-                stats.hits += 1;
-                cached.clone()
-            }
-            None => {
-                stats.misses += 1;
-                extract(&rel, &source)
-            }
-        };
-        hashes.push(hash);
-        files.push(facts);
-    }
-
-    if let Some(p) = &opts.cache_path {
-        let entries: Vec<(String, u64, &FileFacts)> = files
-            .iter()
-            .zip(&hashes)
-            .map(|(f, h)| (f.rel.clone(), *h, f))
-            .collect();
-        store(p, &entries)?;
-    }
-
-    // The rule + graph phases always run fresh: cross-file diagnostics
-    // (panic-reach, workspace-wide waiver-unused) must see today's
-    // workspace, not the one some cache entry was born in.
-    let outcomes: Vec<_> = files.iter().map(lint_local).collect();
-    let graph = graph::analyze(&files, &outcomes);
-
-    let mut violations: Vec<Violation> = outcomes.into_iter().flat_map(|o| o.violations).collect();
-    violations.extend(graph.violations);
+/// The full pipeline over every `.rs` file under `root`: fact
+/// extraction, per-file rules, call-graph reachability, and the
+/// default-deny crate-tier check.
+pub fn analyze_tree(root: &Path) -> io::Result<Summary> {
+    let files = rust_sources(root)?
+        .iter()
+        .map(|path| {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            Ok(extract(&rel, &fs::read_to_string(path)?))
+        })
+        .collect::<io::Result<Vec<FileFacts>>>()?;
+    let (mut violations, graph) = lint_facts(&files);
     violations.extend(unclassified_crates(root)?);
-    violations.sort_by(|a, b| {
-        a.file
-            .cmp(&b.file)
-            .then_with(|| a.line.cmp(&b.line))
-            .then_with(|| a.code.cmp(&b.code))
-    });
-
+    sort_violations(&mut violations);
     Ok(Summary {
         files_checked: files.len(),
         violations,
-        cache: stats,
-        graph: graph.stats,
+        graph,
     })
-}
-
-/// Lint every `.rs` file under `root` with no cache. Returns
-/// `(files_checked, violations)` sorted by file then line.
-pub fn lint_tree(root: &Path) -> io::Result<(usize, Vec<Violation>)> {
-    let summary = analyze_tree(root, &AnalyzeOptions::default())?;
-    Ok((summary.files_checked, summary.violations))
 }
 
 #[cfg(test)]
@@ -191,8 +127,9 @@ mod tests {
         fs::create_dir_all(&tgt).unwrap();
         fs::write(tgt.join("gen.rs"), "use std::collections::HashMap;\n").unwrap();
 
-        let (checked, violations) = lint_tree(&root).unwrap();
-        assert_eq!(checked, 1);
+        let summary = analyze_tree(&root).unwrap();
+        assert_eq!(summary.files_checked, 1);
+        let violations = summary.violations;
         let codes: Vec<&str> = violations.iter().map(|v| v.code.as_str()).collect();
         assert!(codes.contains(&"unordered-map"), "{violations:?}");
         assert!(codes.contains(&"panic-path"), "{violations:?}");
@@ -213,7 +150,7 @@ mod tests {
             )
             .unwrap();
         }
-        let (_, violations) = lint_tree(&root).unwrap();
+        let violations = analyze_tree(&root).unwrap().violations;
         let tiers: Vec<&Violation> = violations
             .iter()
             .filter(|v| v.code == "unclassified-crate")
@@ -221,40 +158,6 @@ mod tests {
         assert_eq!(tiers.len(), 1, "{violations:?}");
         assert_eq!(tiers[0].file, "crates/rogue");
         assert!(tiers[0].message.contains("default-deny"));
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn second_run_is_fully_warm_and_invalidates_on_edit() {
-        let root = scratch("cache");
-        let src_dir = root.join("crates/spider-core/src");
-        fs::create_dir_all(&src_dir).unwrap();
-        fs::write(src_dir.join("a.rs"), "pub fn a() {}\n").unwrap();
-        fs::write(src_dir.join("b.rs"), "pub fn b() { a(); }\n").unwrap();
-        let opts = AnalyzeOptions {
-            cache_path: Some(root.join("target/simlint-cache.json")),
-        };
-
-        let cold = analyze_tree(&root, &opts).unwrap();
-        assert_eq!((cold.cache.hits, cold.cache.misses), (0, 2));
-        assert!(!cold.cache.warm());
-
-        let warm = analyze_tree(&root, &opts).unwrap();
-        assert_eq!((warm.cache.hits, warm.cache.misses), (2, 0));
-        assert!(warm.cache.warm());
-        assert_eq!(warm.violations, cold.violations);
-        assert_eq!(warm.graph.functions, cold.graph.functions);
-        assert_eq!(warm.graph.edges, cold.graph.edges);
-
-        // Editing one file re-parses just that file — and the graph
-        // phase still sees the change (b now reaches a panic in a).
-        fs::write(src_dir.join("a.rs"), "pub fn a() { x.unwrap(); }\n").unwrap();
-        let edited = analyze_tree(&root, &opts).unwrap();
-        assert_eq!((edited.cache.hits, edited.cache.misses), (1, 1));
-        assert!(edited
-            .violations
-            .iter()
-            .any(|v| v.code == "panic-reach" && v.file == "crates/spider-core/src/b.rs"));
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -213,12 +213,14 @@ fn bin_and_test_tiers_are_exempt() {
 #[test]
 fn usage_and_io_errors_exit_2() {
     // Unknown flag: usage error.
-    let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .arg("--bogus")
-        .output()
-        .expect("spawn simlint binary");
-    assert_eq!(out.status.code(), Some(2), "unknown flag is a usage error");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+    for flag in ["--bogus", "--no-cache", "--cache"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
+            .arg(flag)
+            .output()
+            .expect("spawn simlint binary");
+        assert_eq!(out.status.code(), Some(2), "{flag} is a usage error");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+    }
     // Unreadable root: IO error.
     let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
         .arg("--root")
@@ -334,50 +336,6 @@ fn unclassified_crate_is_a_lint_error() {
     assert!(
         stderr.contains("crates/newcomer:1: error[unclassified-crate]"),
         "unknown crate dirs must be denied by default:\n{stderr}"
-    );
-    fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn warm_run_hits_cache_for_every_file_and_reports_it() {
-    let root = scratch("cache");
-    write(&root, "crates/spider-core/src/a.rs", "pub fn a() {}\n");
-    write(&root, "crates/geo/src/b.rs", "pub fn b() {}\n");
-    let cold = run_simlint(&root);
-    assert!(cold.status.success());
-    assert!(
-        String::from_utf8_lossy(&cold.stdout).contains("0 warm / 2 parsed"),
-        "cold run parses everything: {}",
-        String::from_utf8_lossy(&cold.stdout)
-    );
-    let warm = run_simlint(&root);
-    assert!(warm.status.success());
-    let stdout = String::from_utf8_lossy(&warm.stdout);
-    assert!(
-        stdout.contains("cache: 2/2 files warm (100%)"),
-        "warm run must hit the cache for every file and say so: {stdout}"
-    );
-    // --no-cache forces a full parse again.
-    let nocache = Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .arg("--root")
-        .arg(&root)
-        .arg("--json")
-        .arg(root.join("simlint.json"))
-        .arg("--no-cache")
-        .output()
-        .expect("spawn simlint binary");
-    assert!(
-        String::from_utf8_lossy(&nocache.stdout).contains("cache off"),
-        "{}",
-        String::from_utf8_lossy(&nocache.stdout)
-    );
-    // Editing a file invalidates exactly that file.
-    write(&root, "crates/geo/src/b.rs", "pub fn b() { let _x = 1; }\n");
-    let edited = run_simlint(&root);
-    assert!(
-        String::from_utf8_lossy(&edited.stdout).contains("cache: 1 warm / 1 parsed"),
-        "{}",
-        String::from_utf8_lossy(&edited.stdout)
     );
     fs::remove_dir_all(&root).ok();
 }

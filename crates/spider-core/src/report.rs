@@ -2,18 +2,16 @@
 //!
 //! [`RunResult`] holds raw sample sets; a
 //! [`Report`] flattens it into the summary numbers the experiments print.
-//! Serialization is fully in-tree: [`Report::to_json`] emits a stable
-//! flat object and [`Report::from_json`] reads it back, so downstream
-//! tooling can consume run output without any external JSON crate.
+//! Serialization is fully in-tree, at two fidelities:
 //!
-//! Two serialization fidelities, both read through `sim_engine::json`:
-//!
-//! * [`Report`] — the flattened *summary* (quantiles only), rounded to six
-//!   decimals for stable, diff-friendly artifact files.
+//! * [`Report::to_json`] — the flattened *summary* (quantiles only),
+//!   rounded to six decimals for stable, diff-friendly artifact files.
+//!   Write-only: nothing reads a report back.
 //! * [`RunRecord`] — the *full* run: every retained sample value at exact
 //!   (shortest-roundtrip) precision, so a `RunResult` reconstructed from
 //!   its record is bit-identical to the original and regenerates every
-//!   figure byte-for-byte. This is what the campaign cache stores.
+//!   figure byte-for-byte. This is what the campaign cache stores, and
+//!   [`RunRecord::from_json`] reads it back through `sim_engine::json`.
 
 use sim_engine::json::{self, JsonError, Value};
 use sim_engine::stats::Samples;
@@ -97,7 +95,6 @@ pub struct Report {
     /// Instantaneous bandwidth, bytes per connected second (Fig. 10c).
     pub instantaneous_bps: Quantiles,
     /// Per-client counters, indexed by client slot (client 0 first).
-    /// Empty when parsed from a pre-fleet report, which predates the key.
     pub per_client: Vec<ClientCounters>,
 }
 
@@ -157,48 +154,6 @@ impl Report {
         out.push('}');
         out
     }
-
-    /// Parse a report previously emitted by [`Report::to_json`].
-    ///
-    /// Accepts any whitespace layout, so hand-edited or pretty-printed
-    /// variants of the same flat schema also load. Unknown keys are
-    /// ignored; a missing key is an error, and so is a counter that is not
-    /// an exact non-negative integer.
-    pub fn from_json(json: &str) -> Result<Report, ReportParseError> {
-        let root = parse_json(json)?;
-        let quantiles = |key: &'static str| -> Result<Quantiles, ReportParseError> {
-            let q = field(&root, key)?;
-            if q.as_object().is_none() {
-                return Err(ReportParseError::WrongType(key));
-            }
-            Ok(Quantiles {
-                n: count(q, "n")?,
-                p10: num(q, "p10")?,
-                p50: num(q, "p50")?,
-                p90: num(q, "p90")?,
-                max: num(q, "max")?,
-            })
-        };
-        Ok(Report {
-            duration_secs: num(&root, "duration_secs")?,
-            total_bytes: uint(&root, "total_bytes")?,
-            avg_throughput_kbps: num(&root, "avg_throughput_kbps")?,
-            connectivity: num(&root, "connectivity")?,
-            joins: count(&root, "joins")?,
-            assoc_attempts: uint(&root, "assoc_attempts")?,
-            assoc_failures: uint(&root, "assoc_failures")?,
-            dhcp_attempts: uint(&root, "dhcp_attempts")?,
-            dhcp_failures: uint(&root, "dhcp_failures")?,
-            switch_count: uint(&root, "switch_count")?,
-            max_concurrent_aps: count(&root, "max_concurrent_aps")?,
-            tcp_rtos: uint(&root, "tcp_rtos")?,
-            join_times_s: quantiles("join_times_s")?,
-            connections_s: quantiles("connections_s")?,
-            disruptions_s: quantiles("disruptions_s")?,
-            instantaneous_bps: quantiles("instantaneous_bps")?,
-            per_client: per_client_field(&root)?,
-        })
-    }
 }
 
 /// Serialize `per_client` as an object keyed by decimal client slot —
@@ -248,17 +203,17 @@ fn per_client_field(root: &Value) -> Result<Vec<ClientCounters>, ReportParseErro
     Ok(out)
 }
 
-/// Why [`Report::from_json`] rejected its input.
+/// Why [`RunRecord::from_json`] rejected its input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReportParseError {
-    /// The text is not the flat numeric-object schema `to_json` emits.
+    /// The text is not the record schema `to_json` emits.
     Malformed(&'static str),
     /// A required key was absent.
     MissingKey(&'static str),
     /// A key held a nested object where a number was expected (or vice
     /// versa).
     WrongType(&'static str),
-    /// A numeric token parsed to NaN or ±infinity (e.g. `1e999`); reports
+    /// A numeric token parsed to NaN or ±infinity (e.g. `1e999`); records
     /// are finite by construction, so such input is corrupt.
     NonFinite,
 }
@@ -542,59 +497,65 @@ mod tests {
 
     #[test]
     fn json_roundtrips_through_from_json() {
-        // `to_json` rounds floats to six decimals, so the roundtrip
-        // invariant is a serialization fixpoint, not bit-equality with the
-        // in-memory report.
-        let json = Report::from_run(&sample_run()).to_json();
-        let parsed = Report::from_json(&json).expect("parse");
-        assert_eq!(parsed.to_json(), json);
+        // A run read back from its record flattens to the same summary
+        // bytes as the fresh run: a cache hit prints what a run prints.
+        let result = sample_run();
+        let json = RunRecord::to_json(&result).expect("serialize");
+        let back = RunRecord::from_json(&json).expect("parse");
+        assert_eq!(
+            Report::from_run(&back).to_json(),
+            Report::from_run(&result).to_json()
+        );
     }
 
     #[test]
     fn from_json_accepts_whitespace_and_ignores_unknown_keys() {
-        let json = Report::from_run(&sample_run()).to_json();
+        let json = RunRecord::to_json(&sample_run()).expect("serialize");
         let pretty = json.replace(',', ",\n  ").replace('{', "{ ").replacen(
             '{',
             "{\"schema_version\": 1,",
             1,
         );
-        let parsed = Report::from_json(&pretty).expect("parse pretty variant");
-        assert_eq!(parsed.to_json(), json);
+        let parsed = RunRecord::from_json(&pretty).expect("parse pretty variant");
+        assert_eq!(RunRecord::to_json(&parsed).expect("serialize"), json);
     }
 
     #[test]
     fn from_json_rejects_garbage() {
         assert!(matches!(
-            Report::from_json("not json"),
+            RunRecord::from_json("not json"),
             Err(ReportParseError::Malformed(_))
         ));
         assert!(matches!(
-            Report::from_json("{\"duration_secs\":1}"),
+            RunRecord::from_json("{\"v\":1}"),
             Err(ReportParseError::MissingKey(_))
         ));
-        let truncated = Report::from_run(&sample_run()).to_json();
+        let truncated = RunRecord::to_json(&sample_run()).expect("serialize");
         let truncated = &truncated[..truncated.len() - 2];
-        assert!(Report::from_json(truncated).is_err());
+        assert!(RunRecord::from_json(truncated).is_err());
     }
 
     #[test]
     fn from_json_rejects_wrong_types() {
-        let swapped = Report::from_run(&sample_run())
-            .to_json()
-            .replace("\"total_bytes\":", "\"total_bytes\":{\"n\":0,\"p10\":0,\"p50\":0,\"p90\":0,\"max\":0},\"was_total_bytes\":");
+        let swapped = RunRecord::to_json(&sample_run())
+            .expect("serialize")
+            .replace(
+                "\"total_bytes\":",
+                "\"total_bytes\":{\"n\":0},\"was_total_bytes\":",
+            );
         assert_eq!(
-            Report::from_json(&swapped),
-            Err(ReportParseError::WrongType("total_bytes"))
+            RunRecord::from_json(&swapped).err(),
+            Some(ReportParseError::WrongType("total_bytes"))
         );
     }
 
     #[test]
     fn nonfinite_numeric_tokens_get_the_typed_error() {
-        let json = Report::from_run(&sample_run()).to_json();
-        let poisoned = json.replacen("\"duration_secs\":", "\"duration_secs\":1e999,\"was\":", 1);
+        let json = RunRecord::to_json(&sample_run()).expect("serialize");
+        let poisoned = json.replacen("\"connectivity\":", "\"connectivity\":1e999,\"was\":", 1);
         assert_eq!(
-            Report::from_json(&poisoned),
-            Err(ReportParseError::NonFinite)
+            RunRecord::from_json(&poisoned).err(),
+            Some(ReportParseError::NonFinite)
         );
     }
 
@@ -667,9 +628,6 @@ mod tests {
         let back = RunRecord::from_json(&json).expect("parse");
         assert_eq!(back.per_client, result.per_client);
         assert_eq!(RunRecord::to_json(&back).expect("serialize"), json);
-        let report_json = Report::from_run(&result).to_json();
-        let parsed = Report::from_json(&report_json).expect("parse");
-        assert_eq!(parsed.per_client, result.per_client);
     }
 
     #[test]
@@ -684,10 +642,6 @@ mod tests {
         assert!(back.per_client.is_empty());
         assert_eq!(back.total_bytes, result.total_bytes);
         assert_eq!(back.join_times.values(), result.join_times.values());
-        let report = Report::from_run(&result).to_json();
-        let parsed = Report::from_json(&strip(&report)).expect("legacy report parses");
-        assert!(parsed.per_client.is_empty());
-        assert_eq!(parsed.total_bytes, result.total_bytes);
     }
 
     #[test]
@@ -719,20 +673,20 @@ mod tests {
 
     #[test]
     fn report_counters_are_exact_non_negative_integers() {
-        let mut report = Report::from_run(&sample_run());
+        let mut result = sample_run();
         // Above 2^53, where a read through f64 rounds.
-        report.total_bytes = u64::MAX - 7;
-        let json = report.to_json();
-        let back = Report::from_json(&json).expect("parse");
+        result.total_bytes = u64::MAX - 7;
+        let json = RunRecord::to_json(&result).expect("serialize");
+        let back = RunRecord::from_json(&json).expect("parse");
         assert_eq!(back.total_bytes, u64::MAX - 7);
-        assert_eq!(back.to_json(), json);
-        for (key, bad) in [("joins", "-3"), ("assoc_attempts", "1.9")] {
+        assert_eq!(RunRecord::to_json(&back).expect("serialize"), json);
+        for (key, bad) in [("max_concurrent_aps", "-3"), ("assoc_attempts", "1.9")] {
             let start = json.find(&format!("\"{key}\":")).expect("key") + key.len() + 3;
             let end = start + json[start..].find(',').expect("comma follows");
             let poisoned = format!("{}{bad}{}", &json[..start], &json[end..]);
             assert_eq!(
-                Report::from_json(&poisoned),
-                Err(ReportParseError::WrongType(key)),
+                RunRecord::from_json(&poisoned).err(),
+                Some(ReportParseError::WrongType(key)),
                 "{poisoned}"
             );
         }
@@ -741,7 +695,6 @@ mod tests {
     #[test]
     fn deep_nesting_is_an_error_not_a_stack_overflow() {
         let deep = "{\"a\":".repeat(200_000);
-        assert!(Report::from_json(&deep).is_err());
         assert!(RunRecord::from_json(&deep).is_err());
     }
 }

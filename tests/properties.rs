@@ -468,11 +468,10 @@ fn run_record_parser_rejects_truncation() {
 }
 
 /// Mutating any numeric field of a serialized record into an overflowing
-/// token is rejected with the typed non-finite error, for records and
-/// summary reports alike.
+/// token is rejected with the typed non-finite error.
 #[test]
 fn serialized_reports_reject_nonfinite_mutations() {
-    use spider_repro::spider::{Report, ReportParseError, RunRecord};
+    use spider_repro::spider::{ReportParseError, RunRecord};
     check("serialized_reports_reject_nonfinite_mutations", |g| {
         let result = gen_run_result(g);
         let json = RunRecord::to_json(&result).unwrap();
@@ -495,14 +494,6 @@ fn serialized_reports_reject_nonfinite_mutations() {
             RunRecord::from_json(&mutated),
             Err(ReportParseError::NonFinite)
         ));
-
-        // The 6-decimal summary report enforces the same rule.
-        let report = Report::from_run(&result);
-        let rjson = report.to_json();
-        let poisoned = rjson.replacen(char::is_numeric, "1e999", 1);
-        if poisoned != rjson {
-            prop_assert!(Report::from_json(&poisoned).is_err());
-        }
         Ok(())
     });
 }
