@@ -19,9 +19,7 @@
 //! ([`suites`]) so the bench targets stay thin wrappers. The `bench`
 //! binary (`src/bin/bench.rs`) runs the same suites with a regression
 //! gate ci.sh can act on: `cargo bench` swallows bench-target exit
-//! codes, a dedicated bin does not. The non-default `external-bench`
-//! feature is the sanctioned hook for wiring a registry framework
-//! (criterion) back in; default builds stay hermetic.
+//! codes, a dedicated bin does not.
 
 pub mod baseline;
 pub mod stats;

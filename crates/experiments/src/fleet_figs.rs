@@ -22,7 +22,6 @@ use mobility::metro::{metro_deployment, metro_route, MetroChannelPlan, MetroConf
 use mobility::route::Vehicle;
 use sim_engine::rng::Rng;
 use sim_engine::time::{Duration, Instant};
-use spider_core::builder::WorldBuilder;
 use spider_core::config::SpiderConfig;
 use spider_core::fleet::convoy;
 use spider_core::report::RunRecord;
@@ -49,13 +48,14 @@ fn convoy_world(scale: Scale, n: usize) -> (String, WorldConfig) {
     let mut rng = Rng::new(scale.seed ^ 0xF1E);
     let sites = metro_deployment(&cfg, &mut rng);
     let lead = Vehicle::new(metro_route(&cfg), 13.0, Instant::ZERO);
-    let world = WorldBuilder::new(scale.seed)
-        .sites(sites)
-        .vehicle(lead.clone())
-        .driver(SpiderConfig::adaptive_channel())
-        .duration(scale.duration(30))
-        .fleet(convoy(&ClientMotion::Route(lead), n - 1, HEADWAY))
-        .build();
+    let mut world = WorldConfig::new(
+        scale.seed,
+        sites,
+        ClientMotion::Route(lead.clone()),
+        SpiderConfig::adaptive_channel(),
+        scale.duration(30),
+    );
+    world.fleet = convoy(&ClientMotion::Route(lead), n - 1, HEADWAY);
     (format!("fleet-n{n}"), world)
 }
 
@@ -118,15 +118,14 @@ pub fn fleet_identity(scale: Scale) {
         SpiderConfig::multi_channel_multi_ap(Duration::from_millis(200)),
         scale.duration(20),
     ));
-    let fleet1 = WorldBuilder::new(scale.seed)
-        .sites(sites())
-        .fixed_client(mobility::geometry::Point::new(0.0, 10.0))
-        .driver(SpiderConfig::multi_channel_multi_ap(Duration::from_millis(
-            200,
-        )))
-        .duration(scale.duration(20))
-        .fleet(Vec::new())
-        .build();
+    let mut fleet1 = WorldConfig::new(
+        scale.seed,
+        sites(),
+        ClientMotion::Fixed(mobility::geometry::Point::new(0.0, 10.0)),
+        SpiderConfig::multi_channel_multi_ap(Duration::from_millis(200)),
+        scale.duration(20),
+    );
+    fleet1.fleet = Vec::new();
     let a = RunRecord::to_json(&single).expect("serialize single-client record");
     let b = RunRecord::to_json(&run(fleet1)).expect("serialize fleet record");
     if a != b {
@@ -151,16 +150,17 @@ mod tests {
     fn per_client_throughput_degrades_with_occupancy() {
         let mk = |extra: usize| {
             let spot = mobility::geometry::Point::new(0.0, 10.0);
-            let world = WorldBuilder::new(11)
-                .sites(vec![
+            let mut world = WorldConfig::new(
+                11,
+                vec![
                     lab_site(1, 0.0, Channel::CH1, 20_000_000),
                     lab_site(2, 5.0, Channel::CH1, 20_000_000),
-                ])
-                .fixed_client(spot)
-                .driver(SpiderConfig::single_channel_multi_ap(Channel::CH1))
-                .duration(Duration::from_secs(30))
-                .fleet(vec![ClientMotion::Fixed(spot); extra])
-                .build();
+                ],
+                ClientMotion::Fixed(spot),
+                SpiderConfig::single_channel_multi_ap(Channel::CH1),
+                Duration::from_secs(30),
+            );
+            world.fleet = vec![ClientMotion::Fixed(spot); extra];
             run(world)
         };
         let alone = mk(0);
@@ -198,13 +198,15 @@ mod tests {
             SpiderConfig::single_channel_multi_ap(Channel::CH1),
             Duration::from_secs(15),
         ));
-        let fleet1 = WorldBuilder::new(scale.seed)
-            .sites(sites)
-            .fixed_client(mobility::geometry::Point::new(0.0, 10.0))
-            .driver(SpiderConfig::single_channel_multi_ap(Channel::CH1))
-            .duration(Duration::from_secs(15))
-            .fleet(Vec::new())
-            .run();
+        let mut fleet1 = WorldConfig::new(
+            scale.seed,
+            sites,
+            ClientMotion::Fixed(mobility::geometry::Point::new(0.0, 10.0)),
+            SpiderConfig::single_channel_multi_ap(Channel::CH1),
+            Duration::from_secs(15),
+        );
+        fleet1.fleet = Vec::new();
+        let fleet1 = run(fleet1);
         assert_eq!(
             RunRecord::to_json(&single).unwrap(),
             RunRecord::to_json(&fleet1).unwrap()

@@ -315,6 +315,22 @@ mod tests {
         }
     }
 
+    /// A worker must answer a bad world with a decode error, not run it:
+    /// a zero-rate backhaul used to decode and then panic mid-`run`.
+    #[test]
+    fn assign_with_zero_backhaul_is_a_proto_error() {
+        let mut world = sample_world();
+        world.sites[0].backhaul_bps = 0;
+        let msg = Msg::Assign {
+            shard: "x".into(),
+            world: Box::new(world),
+        };
+        assert!(matches!(
+            Msg::decode(&msg.encode()),
+            Err(ProtoError::World(CodecError::Invalid("backhaul rate")))
+        ));
+    }
+
     #[test]
     fn unknown_tag_rejected() {
         assert!(matches!(

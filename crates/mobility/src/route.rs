@@ -23,9 +23,20 @@ impl Route {
     /// closing segment back to the first vertex and makes distance wrap.
     ///
     /// # Panics
-    /// Panics with fewer than 2 vertices or zero total length.
+    /// Panics where [`Route::try_new`] returns an error: fewer than 2
+    /// vertices, or a total length that is zero or NaN.
     pub fn new(points: Vec<Point>, looped: bool) -> Route {
-        assert!(points.len() >= 2, "Route::new: need at least 2 vertices");
+        Route::try_new(points, looped)
+            // simlint: allow(panic-path) — documented constructor contract (see # Panics); fallible callers use Route::try_new
+            .unwrap_or_else(|reason| panic!("Route::new: invalid {reason}"))
+    }
+
+    /// The fallible form of [`Route::new`]: the one place the route
+    /// invariants are checked. The error names the broken invariant.
+    pub fn try_new(points: Vec<Point>, looped: bool) -> Result<Route, &'static str> {
+        if points.len() < 2 {
+            return Err("route vertex count (need at least 2)");
+        }
         let mut cum = Vec::with_capacity(points.len() + 1);
         let mut total = 0.0;
         cum.push(total);
@@ -37,12 +48,14 @@ impl Route {
             total += points[points.len() - 1].distance(points[0]);
             cum.push(total);
         }
-        assert!(total > 0.0, "Route::new: zero-length route");
-        Route {
+        if total.is_nan() || total <= 0.0 {
+            return Err("route length");
+        }
+        Ok(Route {
             points,
             cum,
             looped,
-        }
+        })
     }
 
     /// A straight road from `a` to `b` (driven once, then parked at `b`).
@@ -145,21 +158,33 @@ pub enum SpeedProfile {
 }
 
 impl SpeedProfile {
-    fn validate(&self) {
+    /// The one place the profile invariants are checked: speeds positive
+    /// and finite, stop spacing positive, stop dwell non-negative. The
+    /// error names the offending field.
+    fn check(&self) -> Result<(), &'static str> {
         match *self {
             SpeedProfile::Constant(v) => {
-                assert!(v > 0.0 && v.is_finite(), "SpeedProfile: bad speed {v}")
+                if !(v > 0.0 && v.is_finite()) {
+                    return Err("constant speed");
+                }
             }
             SpeedProfile::StopAndGo {
                 cruise,
                 stop_every,
                 stop_for,
             } => {
-                assert!(cruise > 0.0 && cruise.is_finite(), "bad cruise {cruise}");
-                assert!(stop_every > 0.0, "bad stop spacing {stop_every}");
-                assert!(stop_for >= 0.0, "bad stop dwell {stop_for}");
+                if !(cruise > 0.0 && cruise.is_finite()) {
+                    return Err("cruise speed");
+                }
+                if stop_every.is_nan() || stop_every <= 0.0 {
+                    return Err("stop spacing");
+                }
+                if stop_for.is_nan() || stop_for < 0.0 {
+                    return Err("stop dwell");
+                }
             }
         }
+        Ok(())
     }
 
     /// Distance covered after `t` seconds of driving.
@@ -226,19 +251,35 @@ impl Vehicle {
     /// `departed`.
     ///
     /// # Panics
-    /// Panics on non-positive speed.
+    /// Panics on a speed that is not positive and finite.
     pub fn new(route: Route, speed: f64, departed: Instant) -> Vehicle {
         Vehicle::with_profile(route, SpeedProfile::Constant(speed), departed)
     }
 
     /// A vehicle with an arbitrary speed profile.
+    ///
+    /// # Panics
+    /// Panics on a speed that is not positive and finite, a stop spacing
+    /// that is not positive, or a negative stop dwell; fallible callers
+    /// use [`Vehicle::try_with_profile`].
     pub fn with_profile(route: Route, profile: SpeedProfile, departed: Instant) -> Vehicle {
-        profile.validate();
-        Vehicle {
+        Vehicle::try_with_profile(route, profile, departed)
+            // simlint: allow(panic-path) — documented constructor contract (see # Panics); fallible callers use Vehicle::try_with_profile
+            .unwrap_or_else(|reason| panic!("Vehicle: bad speed profile: invalid {reason}"))
+    }
+
+    /// The fallible form of [`Vehicle::with_profile`].
+    pub fn try_with_profile(
+        route: Route,
+        profile: SpeedProfile,
+        departed: Instant,
+    ) -> Result<Vehicle, &'static str> {
+        profile.check()?;
+        Ok(Vehicle {
             route,
             profile,
             departed,
-        }
+        })
     }
 
     /// The route being driven.

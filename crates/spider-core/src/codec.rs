@@ -14,8 +14,12 @@
 //! would share a cache key.
 //!
 //! The decoder is total: malformed input yields [`CodecError`], never a
-//! panic. Constructors that panic on bad input (`Route::new`,
-//! `Vehicle::with_profile`) are guarded by explicit pre-validation.
+//! panic. It checks only the format (tags, bool bytes, channel numbers,
+//! allocation caps, version, trailing bytes); meaning is checked where it
+//! is defined. Routes and speed profiles go through their fallible
+//! constructors (`Route::try_new`, `Vehicle::try_with_profile`), and the
+//! decoded world through [`WorldConfig::validate`], so a config that
+//! decodes is one `run` accepts.
 
 use mobility::deployment::ApSite;
 use mobility::geometry::Point;
@@ -30,7 +34,6 @@ use wifi_mac::radio::RadioConfig;
 use workload::downloads::DownloadPlan;
 
 use crate::config::{SchedulePolicy, SelectionPolicy, SpiderConfig};
-use crate::fleet::CLIENT_ADDR_STRIDE;
 use crate::world::{ClientMotion, WorldConfig};
 use dhcp::client::DhcpClientConfig;
 
@@ -140,7 +143,7 @@ pub fn decode_world(buf: &[u8]) -> Result<WorldConfig, CodecError> {
     if !r.is_empty() {
         return Err(CodecError::Invalid("trailing bytes"));
     }
-    Ok(WorldConfig {
+    let world = WorldConfig {
         seed,
         phy,
         radio,
@@ -153,7 +156,9 @@ pub fn decode_world(buf: &[u8]) -> Result<WorldConfig, CodecError> {
         bytes_per_connection,
         plan,
         fleet,
-    })
+    };
+    world.validate().map_err(|e| CodecError::Invalid(e.0))?;
+    Ok(world)
 }
 
 // ---- scalar helpers --------------------------------------------------------
@@ -315,25 +320,10 @@ fn get_motion(r: &mut Reader) -> Result<ClientMotion, CodecError> {
             let looped = get_bool(r)?;
             let profile = get_profile(r)?;
             let departed = Instant::from_nanos(r.get_u64()?);
-            // Pre-validate everything Route::new / Vehicle::with_profile
-            // would otherwise assert on: the decoder must never panic.
-            if points.len() < 2 {
-                return Err(CodecError::Invalid("route vertex count"));
-            }
-            let mut total = 0.0;
-            for pair in points.windows(2) {
-                total += pair[0].distance(pair[1]);
-            }
-            if looped {
-                total += points[points.len() - 1].distance(points[0]);
-            }
-            if total.is_nan() || total <= 0.0 {
-                return Err(CodecError::Invalid("route length"));
-            }
-            let route = Route::new(points, looped);
-            Ok(ClientMotion::Route(Vehicle::with_profile(
-                route, profile, departed,
-            )))
+            let route = Route::try_new(points, looped).map_err(CodecError::Invalid)?;
+            let vehicle =
+                Vehicle::try_with_profile(route, profile, departed).map_err(CodecError::Invalid)?;
+            Ok(ClientMotion::Route(vehicle))
         }
         _ => Err(CodecError::Invalid("motion tag")),
     }
@@ -360,32 +350,12 @@ fn put_profile(w: &mut Writer, profile: &SpeedProfile) {
 
 fn get_profile(r: &mut Reader) -> Result<SpeedProfile, CodecError> {
     match r.get_u8()? {
-        0 => {
-            let v = get_f64(r)?;
-            if !(v > 0.0 && v.is_finite()) {
-                return Err(CodecError::Invalid("constant speed"));
-            }
-            Ok(SpeedProfile::Constant(v))
-        }
-        1 => {
-            let cruise = get_f64(r)?;
-            let stop_every = get_f64(r)?;
-            let stop_for = get_f64(r)?;
-            if !(cruise > 0.0 && cruise.is_finite()) {
-                return Err(CodecError::Invalid("cruise speed"));
-            }
-            if stop_every.is_nan() || stop_every <= 0.0 {
-                return Err(CodecError::Invalid("stop spacing"));
-            }
-            if stop_for.is_nan() || stop_for < 0.0 {
-                return Err(CodecError::Invalid("stop dwell"));
-            }
-            Ok(SpeedProfile::StopAndGo {
-                cruise,
-                stop_every,
-                stop_for,
-            })
-        }
+        0 => Ok(SpeedProfile::Constant(get_f64(r)?)),
+        1 => Ok(SpeedProfile::StopAndGo {
+            cruise: get_f64(r)?,
+            stop_every: get_f64(r)?,
+            stop_for: get_f64(r)?,
+        }),
         _ => Err(CodecError::Invalid("speed profile tag")),
     }
 }
@@ -415,9 +385,6 @@ fn put_spider(w: &mut Writer, spider: &SpiderConfig) {
 fn get_spider(r: &mut Reader) -> Result<SpiderConfig, CodecError> {
     let schedule = get_schedule(r)?;
     let max_ifaces = get_usize(r)?;
-    if max_ifaces >= CLIENT_ADDR_STRIDE as usize {
-        return Err(CodecError::Invalid("iface count"));
-    }
     let single_ap = get_bool(r)?;
     let join = JoinConfig {
         use_probe: get_bool(r)?,
@@ -484,7 +451,7 @@ fn get_schedule(r: &mut Reader) -> Result<SchedulePolicy, CodecError> {
         0 => Ok(SchedulePolicy::SingleChannel(get_channel(r)?)),
         1 => {
             let n = r.get_u32()?;
-            if n == 0 || n > MAX_SLICES {
+            if n > MAX_SLICES {
                 return Err(CodecError::Invalid("slice count"));
             }
             let mut slices = Vec::with_capacity(n as usize);
@@ -563,6 +530,8 @@ fn get_plan(r: &mut Reader) -> Result<DownloadPlan, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::CLIENT_ADDR_STRIDE;
+    use crate::world::ConfigError;
 
     fn sample_sites() -> Vec<ApSite> {
         vec![
@@ -699,6 +668,45 @@ mod tests {
             decode_world(&encode_world(&world)),
             Err(CodecError::Invalid("iface count"))
         ));
+    }
+
+    /// Seven configs that once decoded and then broke `run`: the first
+    /// three panicked, the other four stopped sim time from advancing.
+    /// `validate` rejects each, and so does the decoder, with one reason.
+    #[test]
+    fn configs_that_break_run_are_rejected() {
+        type BreaksRun = fn(&mut WorldConfig);
+        let cases: [(&str, BreaksRun); 7] = [
+            ("backhaul rate", |w| w.sites[1].backhaul_bps = 0),
+            ("TCP MSS", |w| w.tcp.mss = 0),
+            ("PHY bitrate", |w| w.phy.bitrate_bps = 0),
+            ("slice duration", |w| {
+                w.spider.schedule = SchedulePolicy::MultiChannel {
+                    slices: vec![(Channel::CH1, Duration::ZERO)],
+                }
+            }),
+            ("evaluation period", |w| {
+                w.spider.evaluate_every = Duration::ZERO
+            }),
+            ("reconsider period", |w| {
+                w.spider.schedule = SchedulePolicy::AdaptiveChannel {
+                    reconsider: Duration::ZERO,
+                    scan_dwell: Duration::from_millis(150),
+                }
+            }),
+            ("DHCP retransmission timeout", |w| {
+                w.spider.dhcp.retx_timeout = Duration::ZERO
+            }),
+        ];
+        for (reason, breaks_run) in cases {
+            let mut world = vehicular_sample(1);
+            breaks_run(&mut world);
+            assert_eq!(world.validate(), Err(ConfigError(reason)));
+            assert!(
+                matches!(decode_world(&encode_world(&world)), Err(CodecError::Invalid(r)) if r == reason),
+                "{reason}: decoded"
+            );
+        }
     }
 
     #[test]

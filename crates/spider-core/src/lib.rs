@@ -11,7 +11,6 @@
 //! §2's analysis shows the DHCP join, whose pacing the AP controls, cannot
 //! survive fractional channel schedules at vehicular speed.
 //!
-//! * [`builder`] — a fluent constructor over [`world::WorldConfig`].
 //! * [`config`] — the driver's policy knobs and the four §4 evaluation
 //!   configurations plus the stock-MadWiFi baseline.
 //! * [`fleet`] — client fleets: per-client addressing, counters, convoy
@@ -28,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
 pub mod codec;
 pub mod config;
 pub mod fleet;
@@ -39,7 +37,6 @@ pub mod report;
 pub mod selection;
 pub mod world;
 
-pub use builder::WorldBuilder;
 pub use config::{SchedulePolicy, SelectionPolicy, SpiderConfig};
 pub use fleet::ClientCounters;
 pub use history::ApHistory;
@@ -47,4 +44,6 @@ pub use intern::MacIntern;
 pub use metrics::Metrics;
 pub use report::{NonFiniteField, Quantiles, Report, ReportParseError, RunRecord};
 pub use selection::{select_aps, Candidate};
-pub use world::{run, run_with_diagnostics, ClientMotion, RunDiagnostics, RunResult, WorldConfig};
+pub use world::{
+    run, run_with_diagnostics, ClientMotion, ConfigError, RunDiagnostics, RunResult, WorldConfig,
+};

@@ -150,7 +150,134 @@ impl WorldConfig {
             fleet: Vec::new(),
         }
     }
+
+    /// The one world-level check, for the settings [`run`] would
+    /// otherwise panic or stall on. Routes and speed profiles are checked
+    /// when they are built (`Route::try_new`, `Vehicle::try_with_profile`);
+    /// this covers the rest, in O(sites + schedule slices):
+    ///
+    /// * rates that are divided by are non-zero (PHY bitrate, every
+    ///   site's backhaul, the TCP MSS), and the data retry count is at
+    ///   most [`MAX_DATA_RETRIES`];
+    /// * periods that re-arm themselves are non-zero (every schedule
+    ///   slice, the adaptive reconsider period, the evaluation period,
+    ///   the DHCP retransmission timeout), so sim time always advances;
+    /// * a multi-channel schedule has at least one slice, and the
+    ///   interface count fits the per-client address stride;
+    /// * no timer is longer than [`MAX_TIMER`].
+    ///
+    /// The run length itself is not capped.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let bad = |reason| Err(ConfigError(reason));
+        if self.phy.bitrate_bps == 0 {
+            return bad("PHY bitrate");
+        }
+        if self.phy.data_retries > MAX_DATA_RETRIES {
+            return bad("data retry count");
+        }
+        if self.tcp.mss == 0 {
+            return bad("TCP MSS");
+        }
+        if self.sites.iter().any(|site| site.backhaul_bps == 0) {
+            return bad("backhaul rate");
+        }
+        let spider = &self.spider;
+        if spider.max_ifaces >= CLIENT_ADDR_STRIDE as usize {
+            return bad("iface count");
+        }
+        match &spider.schedule {
+            SchedulePolicy::MultiChannel { slices } if slices.is_empty() => {
+                return bad("slice count")
+            }
+            SchedulePolicy::MultiChannel { slices } if slices.iter().any(|s| s.1.is_zero()) => {
+                return bad("slice duration")
+            }
+            SchedulePolicy::AdaptiveChannel { reconsider, .. } if reconsider.is_zero() => {
+                return bad("reconsider period")
+            }
+            _ => {}
+        }
+        if spider.evaluate_every.is_zero() {
+            return bad("evaluation period");
+        }
+        if spider.dhcp.retx_timeout.is_zero() {
+            return bad("DHCP retransmission timeout");
+        }
+        if self.timers().any(|d| d > MAX_TIMER) {
+            return bad("timer (longer than MAX_TIMER)");
+        }
+        Ok(())
+    }
+
+    /// Every duration in the config except the run length.
+    fn timers(&self) -> impl Iterator<Item = Duration> + '_ {
+        let (phy, radio, spider) = (&self.phy, &self.radio, &self.spider);
+        let schedule = match &spider.schedule {
+            SchedulePolicy::SingleChannel(_) => Vec::new(),
+            SchedulePolicy::MultiChannel { slices } => slices.iter().map(|s| s.1).collect(),
+            SchedulePolicy::ScanWhenIdle { dwell } => vec![*dwell],
+            SchedulePolicy::AdaptiveChannel {
+                reconsider,
+                scan_dwell,
+            } => vec![*reconsider, *scan_dwell],
+        };
+        let think = match self.plan {
+            DownloadPlan::Saturating => None,
+            DownloadPlan::Segmented { think, .. } | DownloadPlan::WebMix { think } => Some(think),
+        };
+        [
+            phy.preamble,
+            phy.difs,
+            phy.mean_backoff,
+            radio.reset,
+            radio.reset_jitter,
+            radio.per_iface,
+            radio.per_iface_jitter,
+            spider.join.link_layer_timeout,
+            spider.dhcp.retx_timeout,
+            spider.dhcp.attempt_budget,
+            spider.dhcp.idle_after_fail,
+            spider.ap_loss_timeout,
+            spider.evaluate_every,
+            spider.retry_backoff,
+            spider.join_setup_delay,
+            self.tcp.min_rto,
+            self.tcp.max_rto,
+            self.backhaul_latency,
+        ]
+        .into_iter()
+        .chain(schedule)
+        .chain(think)
+        .chain(
+            self.sites
+                .iter()
+                .flat_map(|site| [site.dhcp_delay_min, site.dhcp_delay_max]),
+        )
+    }
 }
+
+/// The longest any timer in a [`WorldConfig`] may be. Protocol timers
+/// are milliseconds to seconds; the cap keeps `now + timer`, and the
+/// retry-scaled airtimes built from the PHY timers, far inside the u64
+/// nanosecond clock.
+pub const MAX_TIMER: Duration = Duration::from_secs(24 * 3600);
+
+/// The most 802.11 retries a data frame may take (the standard's retry
+/// limits are 8-bit counters).
+pub const MAX_DATA_RETRIES: u32 = 255;
+
+/// Why [`WorldConfig::validate`] rejected a config: the field or
+/// invariant it breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigError(pub &'static str);
+
+impl core::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "world config: invalid {}", self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Aggregated outcome of one run; the raw material for every table/figure.
 #[derive(Debug, Clone)]
@@ -491,6 +618,10 @@ struct World {
 
 impl World {
     fn new(cfg: WorldConfig) -> (World, EventQueue<Event>) {
+        if let Err(e) = cfg.validate() {
+            // simlint: allow(panic-path) — documented contract of `run` (see its # Panics); configs from outside arrive through decode_world, which rejects them as an error value
+            panic!("{e}");
+        }
         let mut master = Rng::new(cfg.seed);
         let rng_phy = master.fork(1);
         let rng_ap = master.fork(2);
@@ -519,18 +650,11 @@ impl World {
 
         let initial_channel = match &cfg.spider.schedule {
             SchedulePolicy::SingleChannel(c) => *c,
-            SchedulePolicy::MultiChannel { slices } => {
-                assert!(!slices.is_empty(), "empty multi-channel schedule");
-                slices[0].0
-            }
+            SchedulePolicy::MultiChannel { slices } => slices[0].0,
             SchedulePolicy::ScanWhenIdle { .. } => Channel::CH1,
             SchedulePolicy::AdaptiveChannel { .. } => Channel::CH1,
         };
         let n_clients = 1 + cfg.fleet.len();
-        assert!(
-            cfg.spider.max_ifaces < CLIENT_ADDR_STRIDE as usize,
-            "iface count must fit the per-client address stride"
-        );
 
         let mut queue = EventQueue::new();
         // Stagger beacons so the channel isn't beacon-synchronized. These
@@ -1981,11 +2105,18 @@ pub struct RunDiagnostics {
 }
 
 /// Run one experiment to completion.
+///
+/// # Panics
+/// Panics, naming the [`ConfigError`], on a config that fails
+/// [`WorldConfig::validate`].
 pub fn run(config: WorldConfig) -> RunResult {
     run_with_diagnostics(config).0
 }
 
 /// Run one experiment to completion, also reporting engine counters.
+///
+/// # Panics
+/// As [`run`].
 pub fn run_with_diagnostics(config: WorldConfig) -> (RunResult, RunDiagnostics) {
     let duration = config.duration;
     let (mut world, mut queue) = World::new(config);
@@ -2060,6 +2191,33 @@ mod tests {
             "connectivity {}",
             result.connectivity
         );
+    }
+
+    /// A bad config built in code fails loudly at `World::new`, naming
+    /// the broken setting, before any substrate asserts on it.
+    #[test]
+    #[should_panic(expected = "world config: invalid backhaul rate")]
+    fn run_names_the_config_error() {
+        run(static_world(
+            vec![site(1, 0.0, Channel::CH1, 0)],
+            SpiderConfig::single_channel_multi_ap(Channel::CH1),
+            5,
+        ));
+    }
+
+    #[test]
+    fn backhaul_latency_hurts_throughput() {
+        let with_latency = |ms: u64| {
+            let mut cfg = static_world(
+                vec![site(1, 0.0, Channel::CH1, 2_000_000)],
+                SpiderConfig::single_channel_multi_ap(Channel::CH1),
+                12,
+            );
+            cfg.backhaul_latency = Duration::from_millis(ms);
+            run(cfg).total_bytes
+        };
+        let (fast, slow) = (with_latency(5), with_latency(500));
+        assert!(fast > slow, "half-second RTTs must hurt: {fast} vs {slow}");
     }
 
     #[test]

@@ -14,9 +14,9 @@ use mobility::deployment::ApSite;
 use mobility::geometry::Point;
 use mobility::route::{Route, Vehicle};
 use sim_engine::time::{Duration, Instant};
-use spider_core::builder::WorldBuilder;
 use spider_core::config::SpiderConfig;
 use spider_core::report::RunRecord;
+use spider_core::world::{run, ClientMotion, WorldConfig};
 use wifi_mac::channel::Channel;
 
 /// Child mode: when set, run the scenario, write the record here, exit.
@@ -40,14 +40,13 @@ fn record_json() -> String {
         })
         .collect();
     let route = Route::straight(Point::new(0.0, 0.0), Point::new(360.0, 0.0));
-    let result = WorldBuilder::new(0xC0FFEE)
-        .sites(sites)
-        .vehicle(Vehicle::new(route, 12.0, Instant::ZERO))
-        .driver(SpiderConfig::multi_channel_multi_ap(Duration::from_millis(
-            100,
-        )))
-        .duration(Duration::from_secs(30))
-        .run();
+    let result = run(WorldConfig::new(
+        0xC0FFEE,
+        sites,
+        ClientMotion::Route(Vehicle::new(route, 12.0, Instant::ZERO)),
+        SpiderConfig::multi_channel_multi_ap(Duration::from_millis(100)),
+        Duration::from_secs(30),
+    ));
     RunRecord::to_json(&result).expect("simulator produced a non-finite field")
 }
 

@@ -859,7 +859,10 @@ fn segment_wire_len_survives_roundtrip() {
 
 use spider_repro::mobility::{ApSite, SpeedProfile, Vehicle};
 use spider_repro::spider::codec::{decode_world, encode_world};
-use spider_repro::spider::{ClientMotion, SelectionPolicy, SpiderConfig, WorldConfig};
+use spider_repro::spider::world::{MAX_DATA_RETRIES, MAX_TIMER};
+use spider_repro::spider::{
+    run, ClientMotion, SchedulePolicy, SelectionPolicy, SpiderConfig, WorldConfig,
+};
 use spider_repro::traffic::DownloadPlan;
 
 fn gen_site(g: &mut Gen, id: u32) -> ApSite {
@@ -925,7 +928,22 @@ fn gen_spider(g: &mut Gen) -> SpiderConfig {
     s
 }
 
-fn gen_world(g: &mut Gen) -> WorldConfig {
+/// A rate or count at the edges: zero, one, or the type's maximum.
+fn edge_count(g: &mut Gen) -> u64 {
+    [0, 1, u64::MAX][g.usize_in(0, 3)]
+}
+
+/// A timer at the edges of what `WorldConfig::validate` accepts: zero,
+/// exactly `MAX_TIMER`, or the largest representable span.
+fn edge_timer(g: &mut Gen) -> Duration {
+    [Duration::ZERO, MAX_TIMER, Duration::from_nanos(u64::MAX)][g.usize_in(0, 3)]
+}
+
+/// A world config; with `hostile`, one to three of the fields
+/// `WorldConfig::validate` checks are then overwritten with values at or
+/// past the edge of what it accepts. The non-hostile draws are the same
+/// either way.
+fn gen_world(g: &mut Gen, hostile: bool) -> WorldConfig {
     let sites = (0..g.len_in(1, 6))
         .map(|i| gen_site(g, i as u32 + 1))
         .collect();
@@ -946,6 +964,66 @@ fn gen_world(g: &mut Gen) -> WorldConfig {
             think: Duration::from_millis(g.u64_in(0, 2_000)),
         };
     }
+    if hostile {
+        // An AP beside the client on a channel it visits, so that even a
+        // short run joins and moves data through the hostile settings.
+        w.sites[0].position = match &w.motion {
+            ClientMotion::Fixed(p) => *p,
+            ClientMotion::Route(v) => v.position_at(Instant::ZERO),
+        };
+        w.sites[0].channel = w.spider.schedule.channels()[0];
+    }
+    for _ in 0..if hostile { g.usize_in(1, 4) } else { 0 } {
+        match g.usize_in(0, 10) {
+            0 => w.phy.bitrate_bps = edge_count(g),
+            1 => {
+                w.phy.data_retries =
+                    [0, MAX_DATA_RETRIES, MAX_DATA_RETRIES + 1, u32::MAX][g.usize_in(0, 4)]
+            }
+            2 => w.tcp.mss = edge_count(g) as u32,
+            3 => {
+                let i = g.usize_in(0, w.sites.len());
+                w.sites[i].backhaul_bps = edge_count(g);
+            }
+            4 => w.spider.max_ifaces = [0, 254, 255, usize::MAX][g.usize_in(0, 4)],
+            5 => {
+                let slice = edge_timer(g);
+                match &mut w.spider.schedule {
+                    SchedulePolicy::MultiChannel { slices } if !slices.is_empty() && g.bool() => {
+                        let i = g.usize_in(0, slices.len());
+                        slices[i].1 = slice;
+                    }
+                    SchedulePolicy::MultiChannel { slices } => slices.clear(),
+                    other => {
+                        *other = SchedulePolicy::MultiChannel {
+                            slices: vec![(gen_channel(g), slice)],
+                        }
+                    }
+                }
+            }
+            6 => {
+                w.spider.schedule = SchedulePolicy::AdaptiveChannel {
+                    reconsider: edge_timer(g),
+                    scan_dwell: edge_timer(g),
+                }
+            }
+            7 => w.spider.evaluate_every = edge_timer(g),
+            8 => w.spider.dhcp.retx_timeout = edge_timer(g),
+            _ => {
+                let t = edge_timer(g);
+                match g.usize_in(0, 8) {
+                    0 => w.phy.mean_backoff = t,
+                    1 => w.radio.reset = t,
+                    2 => w.spider.join.link_layer_timeout = t,
+                    3 => w.spider.join_setup_delay = t,
+                    4 => w.tcp.min_rto = t,
+                    5 => w.tcp.max_rto = t,
+                    6 => w.backhaul_latency = t,
+                    _ => w.sites[0].dhcp_delay_min = t,
+                }
+            }
+        }
+    }
     w
 }
 
@@ -957,7 +1035,7 @@ fn gen_world(g: &mut Gen) -> WorldConfig {
 #[test]
 fn world_codec_roundtrips_bit_exactly() {
     check("world_codec_roundtrips_bit_exactly", |g| {
-        let world = gen_world(g);
+        let world = gen_world(g, false);
         let bytes = encode_world(&world);
         let decoded = decode_world(&bytes).expect("decode");
         prop_assert_eq!(format!("{decoded:?}"), format!("{world:?}"));
@@ -969,7 +1047,7 @@ fn world_codec_roundtrips_bit_exactly() {
 #[test]
 fn world_codec_rejects_every_strict_prefix() {
     check("world_codec_rejects_every_strict_prefix", |g| {
-        let bytes = encode_world(&gen_world(g));
+        let bytes = encode_world(&gen_world(g, false));
         let cut = g.usize_in(0, bytes.len());
         prop_assert!(
             decode_world(&bytes[..cut]).is_err(),
@@ -978,6 +1056,49 @@ fn world_codec_rejects_every_strict_prefix() {
         );
         Ok(())
     });
+}
+
+/// Decoding is the gate for configs from outside the process: a hostile
+/// config either fails to decode, or decodes to one that passes
+/// `validate` and runs to completion without panicking. Half the routed
+/// cases also get a zero, NaN, infinite, negative or huge speed written
+/// straight into the encoded bytes, where no constructor checked it.
+#[test]
+fn hostile_worlds_fail_to_decode_or_run_to_completion() {
+    // Each case runs at most a 5 s world in a few ms, so the property
+    // affords ten times the default case count.
+    let cfg = Config::cases(1024);
+    check_with(
+        "hostile_worlds_fail_to_decode_or_run_to_completion",
+        cfg,
+        |g| {
+            let mut world = gen_world(g, true);
+            world.duration = Duration::from_secs(g.u64_in(1, 6));
+            let mut bytes = encode_world(&world);
+            if let (ClientMotion::Route(vehicle), true) = (&world.motion, g.bool()) {
+                let speed = match *vehicle.profile() {
+                    SpeedProfile::Constant(v) => v,
+                    SpeedProfile::StopAndGo { cruise, .. } => cruise,
+                };
+                let edge = [0.0, f64::NAN, f64::INFINITY, -1.0, 1e300][g.usize_in(0, 5)];
+                let at = bytes
+                    .windows(8)
+                    .position(|w| w == speed.to_bits().to_be_bytes())
+                    .expect("speed in the encoding");
+                bytes[at..at + 8].copy_from_slice(&edge.to_bits().to_be_bytes());
+            }
+            let Ok(decoded) = decode_world(&bytes) else {
+                return Ok(());
+            };
+            prop_assert!(
+                decoded.validate().is_ok(),
+                "decoded a config validate rejects"
+            );
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(decoded)));
+            prop_assert!(outcome.is_ok(), "run panicked on a decoded config");
+            Ok(())
+        },
+    );
 }
 
 // ---------------------------------------------------- metro deployments
