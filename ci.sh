@@ -215,6 +215,11 @@ else
     echo "skip: clippy not installed"
 fi
 
+step "cargo doc -D warnings"
+# Broken or ambiguous intra-doc links (a renamed item, a module doc that
+# links a private type) fail here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 step "bench regression check (gating)"
 # The gate runs through ./target/release/bench (built above): cargo bench
 # swallows bench-target exit codes, a first-class binary does not. Exit

@@ -17,8 +17,8 @@
 //!   rank order. The simulation uses it for the "heard set": the APs
 //!   with a live scan-table entry, walked in MacAddr order so candidate
 //!   collection is O(heard) yet byte-identical to the old full scan.
-//! * [`contention`] — per-spatial-cell channel contention over a
-//!   deployment, the co-channel degree each AP sees inside its
+//! * [`contention`](mod@contention) — per-spatial-cell channel contention
+//!   over a deployment, the co-channel degree each AP sees inside its
 //!   interference disc, cross-checked against the Panda & Kumar /
 //!   Bianchi saturation model in `analytical::cell`.
 //!

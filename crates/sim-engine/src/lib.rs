@@ -21,8 +21,8 @@
 //!   [`wire::Writer`], [`wire::Reader`]) backing every protocol codec.
 //! * [`par`] — a std-only scoped worker pool with deterministic per-task
 //!   RNG forking, the experiment harness's fan-out engine.
-//! * [`check`] — the in-tree property-testing harness (seeded cases,
-//!   shrink-by-halving, failure-seed replay).
+//! * [`check`](mod@check) — the in-tree property-testing harness
+//!   (seeded cases, shrink-by-halving, failure-seed replay).
 //! * [`json`] — the workspace's one JSON reader (a [`json::Value`] tree
 //!   with u64-exact integers and a depth cap) and string quoter.
 //!

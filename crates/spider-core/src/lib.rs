@@ -20,9 +20,13 @@
 //!   history-driven greedy heuristic.
 //! * [`metrics`] — §4.3's throughput/connectivity/disruption metrics.
 //! * [`report`] — flattened, serializable run summaries.
-//! * [`world`] — the deterministic event-driven world: radio, MACs, DHCP,
-//!   TCP, backhaul, and mobility wired together; [`world::run`] is the
-//!   entry point every experiment uses.
+//! * [`world`] — the deterministic event-driven world, one private module
+//!   per layer: `air` (medium, link budget, frame delivery, beacons,
+//!   per-channel TX queues), `ap` (AP MAC, DHCP server, backhaul, TCP
+//!   senders), `join` (virtual interfaces, MAC/DHCP/TCP client glue,
+//!   evaluation and selection), `channel` (schedule slices, PSM switching,
+//!   adaptive reconsideration) and `upkeep` (1 Hz housekeeping);
+//!   [`world::run`] is the entry point every experiment uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
