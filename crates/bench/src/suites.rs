@@ -279,11 +279,13 @@ fn fig5_world() -> WorldConfig {
     bench_vehicular(11, spider, 60)
 }
 
-/// The DES hot-path suite: raw engine events/sec on a fig5-scale world,
+/// The DES hot-path suite: the wall-clock time of a fig5-scale world,
 /// plus microbenches of the two structures the allocation-free hot path
 /// rests on (the slot-cancelling event queue and the interned MacAddr
-/// table). The headline `events_per_sec` annotation is derived from the
-/// median iteration time and the run's deterministic event counter.
+/// table). The `events_per_sec` annotation, from the median iteration
+/// time and the run's deterministic event counter, describes the commit
+/// measured; compare commits by time, since one that queues fewer events
+/// for the same world does the same work in fewer events.
 pub fn des_core(h: &mut Harness) {
     // One untimed run pins the deterministic per-run counters.
     let (_, probe) = run_with_diagnostics(fig5_world());
@@ -302,22 +304,6 @@ pub fn des_core(h: &mut Harness) {
         h.annotate("events_delivered", format!("{}", probe.events_delivered));
         h.annotate("peak_queue_depth", format!("{}", probe.peak_queue_depth));
         h.annotate("events_per_sec", format!("{eps:.1}"));
-        // Events/sec of the pre-rework engine (the commit before the
-        // slot-queue + interning change), measured on the machine running
-        // the bench. Machine dependent, so there is no built-in default:
-        // without the variable the artifact carries no baseline/speedup
-        // fields rather than a speedup against different hardware.
-        let baseline = std::env::var("SPIDER_BENCH_BASELINE_EPS")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok());
-        if let Some(base) = baseline {
-            println!(
-                "des_core: baseline {base:.0} events/sec, speedup {:.2}x",
-                eps / base
-            );
-            h.annotate("baseline_events_per_sec", format!("{base:.1}"));
-            h.annotate("speedup_vs_baseline", format!("{:.3}", eps / base));
-        }
     }
 
     // Steady-state heap churn: a queue holding ~1024 timers where every

@@ -9,7 +9,9 @@
 //! scheduler ticks) are handled by *cancellation tokens*: `push` returns an
 //! [`EventId`], and [`EventQueue::cancel`] marks it dead; dead events are
 //! skipped on pop. This is O(1) per cancel and avoids the classic
-//! decrease-key problem.
+//! decrease-key problem. A timer re-armed on every input (a TCP RTO on
+//! every ACK) is instead moved with [`EventQueue::reschedule`], which keeps
+//! one queued event per timer rather than one tombstone per re-arm.
 //!
 //! # Hot-path design: generation-tagged slots
 //!
@@ -24,7 +26,7 @@
 //! the arena has grown to the peak number of outstanding events.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::time::Instant;
 
@@ -40,13 +42,19 @@ pub struct EventId {
 }
 
 /// Per-slot bookkeeping: the current generation, whether the event
-/// occupying the slot is still live (scheduled and not cancelled), and
-/// the event payload itself. Keeping the payload here — index-addressed
-/// by the 24-byte heap entries — means heap sift operations move small
-/// fixed-size keys instead of whole events.
+/// occupying the slot is still live (scheduled and not cancelled), the
+/// event's current `(at, seq)` key, and the event payload itself. Keeping
+/// the payload here — index-addressed by the 24-byte heap entries — means
+/// heap sift operations move small fixed-size keys instead of whole events.
+///
+/// Each slot has at most one heap entry. Its key equals the slot's key
+/// unless the event was rescheduled later since the entry was queued; the
+/// entry then surfaces early and is re-seated at the slot's key.
 struct Slot<E> {
     gen: u32,
     live: bool,
+    at: Instant,
+    seq: u64,
     event: Option<E>,
 }
 
@@ -171,6 +179,8 @@ impl<E> EventQueue<E> {
             Some(slot) => {
                 let s = &mut self.slots[slot as usize];
                 s.live = true;
+                s.at = at;
+                s.seq = seq;
                 s.event = Some(event);
                 slot
             }
@@ -179,6 +189,8 @@ impl<E> EventQueue<E> {
                 self.slots.push(Slot {
                     gen: 0,
                     live: true,
+                    at,
+                    seq,
                     event: Some(event),
                 });
                 slot
@@ -207,6 +219,39 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Move the live event `id` to fire at `at`, in the same-instant place
+    /// a fresh [`EventQueue::push`] would get now (a new sequence number).
+    /// Returns the event's handle, which changes when the event moves
+    /// earlier; `None`, and nothing moves, if `id` already fired or was
+    /// cancelled.
+    ///
+    /// A move to the same or a later instant is O(1): the heap entry stays
+    /// put and is re-seated at the new key when it surfaces. A move
+    /// earlier cancels the entry and pushes the payload afresh.
+    ///
+    /// # Panics
+    /// Panics, like `push`, if `at` is earlier than the current queue time.
+    pub fn reschedule(&mut self, id: EventId, at: Instant) -> Option<EventId> {
+        assert!(
+            at >= self.now,
+            "EventQueue::reschedule: scheduling into the past ({at} < now {})",
+            self.now
+        );
+        let slot = self.slots.get_mut(id.slot as usize)?;
+        if slot.gen != id.gen || !slot.live {
+            return None;
+        }
+        if at >= slot.at {
+            slot.at = at;
+            slot.seq = self.next_seq;
+            self.next_seq += 1;
+            return Some(id);
+        }
+        let event = slot.event.take()?;
+        self.cancel(id);
+        Some(self.push(at, event))
+    }
+
     /// Retire `slot` once its entry has left the heap: bump the generation
     /// (invalidating outstanding handles) and recycle the index.
     fn release_slot(&mut self, slot: u32) {
@@ -219,53 +264,56 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest live event, advancing the queue clock to its time.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        while let Some(entry) = self.heap.pop() {
-            let event = self.slots[entry.slot as usize].event.take();
-            self.release_slot(entry.slot);
-            let Some(event) = event else {
-                // Cancelled: the payload was dropped at cancel time.
-                self.cancelled -= 1;
-                continue;
-            };
-            debug_assert!(entry.at >= self.now, "event queue time went backwards");
-            self.now = entry.at;
-            self.popped += 1;
-            return Some((entry.at, event));
-        }
-        None
+        self.peek_time()?;
+        let entry = self.heap.pop()?;
+        let event = self.slots[entry.slot as usize].event.take();
+        self.release_slot(entry.slot);
+        debug_assert!(entry.at >= self.now, "event queue time went backwards");
+        self.now = entry.at;
+        self.popped += 1;
+        event.map(|event| (entry.at, event))
     }
 
-    /// Time of the earliest live event, without popping it. Drains dead
-    /// entries from the top of the heap as a side effect, so repeated calls
-    /// are cheap; see [`EventQueue::next_live_time`] for a `&self` variant.
+    /// Time of the earliest live event, without popping it. Brings that
+    /// event's entry to the top of the heap on the way: cancelled entries
+    /// are dropped and entries of events rescheduled later are re-seated,
+    /// so repeated calls are cheap; see [`EventQueue::next_live_time`] for
+    /// a `&self` variant.
     pub fn peek_time(&mut self) -> Option<Instant> {
-        while let Some(top) = self.heap.peek() {
-            if self.slots[top.slot as usize].live {
-                return Some(top.at);
-            }
-            if let Some(dead) = self.heap.pop() {
+        loop {
+            let mut top = self.heap.peek_mut()?;
+            let slot = &self.slots[top.slot as usize];
+            if !slot.live {
+                let dead = PeekMut::pop(top);
                 self.cancelled -= 1;
                 self.release_slot(dead.slot);
+            } else if slot.seq != top.seq {
+                // Dropping the `PeekMut` sifts the re-keyed entry down.
+                top.at = slot.at;
+                top.seq = slot.seq;
+            } else {
+                return Some(top.at);
             }
         }
-        None
     }
 
     /// Time of the earliest live event without mutating the queue.
     ///
-    /// O(1) when the heap's top entry is live (the common case); falls back
-    /// to a full scan when cancelled entries are stacked on top. Prefer
-    /// [`EventQueue::peek_time`] in loops that also pop — it compacts as it
-    /// goes.
+    /// O(1) when the heap's top entry is live and current (the common
+    /// case); falls back to a full scan when a cancelled or rescheduled
+    /// entry is on top. Prefer [`EventQueue::peek_time`] in loops that also
+    /// pop — it compacts as it goes.
     pub fn next_live_time(&self) -> Option<Instant> {
         let top = self.heap.peek()?;
-        if self.slots[top.slot as usize].live {
+        let slot = &self.slots[top.slot as usize];
+        if slot.live && slot.seq == top.seq {
             return Some(top.at);
         }
         self.heap
             .iter()
-            .filter(|e| self.slots[e.slot as usize].live)
-            .map(|e| e.at)
+            .map(|e| &self.slots[e.slot as usize])
+            .filter(|s| s.live)
+            .map(|s| s.at)
             .min()
     }
 
@@ -485,6 +533,90 @@ mod tests {
         }
         // The heap now physically holds 15 entries, but only 5 are live.
         assert_eq!(q.peak_depth(), 10, "cancelled entries inflated the peak");
+    }
+
+    #[test]
+    fn reschedule_later_takes_a_fresh_same_instant_place() {
+        let mut q = EventQueue::new();
+        let a = q.push(Instant::from_millis(1), "a");
+        q.push(Instant::from_millis(5), "b");
+        // Moved to b's instant, a now queues behind b, as a fresh push would.
+        assert_eq!(q.reschedule(a, Instant::from_millis(5)), Some(a));
+        q.push(Instant::from_millis(5), "c");
+        assert_eq!(q.peek_time(), Some(Instant::from_millis(5)));
+        assert_eq!(q.pop(), Some((Instant::from_millis(5), "b")));
+        assert_eq!(q.pop(), Some((Instant::from_millis(5), "a")));
+        assert_eq!(q.pop(), Some((Instant::from_millis(5), "c")));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn reschedule_earlier_moves_ahead() {
+        let mut q = EventQueue::new();
+        q.push(Instant::from_millis(3), "b");
+        let a = q.push(Instant::from_millis(9), "a");
+        let moved = q.reschedule(a, Instant::from_millis(2)).expect("live");
+        assert_eq!(q.next_live_time(), Some(Instant::from_millis(2)));
+        assert_eq!(q.pop(), Some((Instant::from_millis(2), "a")));
+        assert_eq!(q.pop(), Some((Instant::from_millis(3), "b")));
+        assert!(q.pop().is_none());
+        // Both the old and the new handle are spent now.
+        assert_eq!(q.reschedule(a, Instant::from_millis(4)), None);
+        assert_eq!(q.reschedule(moved, Instant::from_millis(4)), None);
+    }
+
+    #[test]
+    fn next_live_time_sees_a_rescheduled_top() {
+        let mut q = EventQueue::new();
+        let a = q.push(Instant::from_millis(1), "a");
+        q.push(Instant::from_millis(6), "b");
+        q.reschedule(a, Instant::from_millis(8));
+        assert_eq!(q.next_live_time(), Some(Instant::from_millis(6)));
+        assert_eq!(q.pop(), Some((Instant::from_millis(6), "b")));
+        assert_eq!(q.next_live_time(), Some(Instant::from_millis(8)));
+        assert_eq!(q.pop(), Some((Instant::from_millis(8), "a")));
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn rescheduling_into_past_panics() {
+        let mut q = EventQueue::new();
+        let a = q.push(Instant::from_millis(20), ());
+        q.push(Instant::from_millis(10), ());
+        q.pop();
+        q.reschedule(a, Instant::from_millis(5));
+    }
+
+    #[test]
+    fn reschedule_of_fired_or_cancelled_handle_moves_nothing() {
+        let mut q = EventQueue::new();
+        let fired = q.push(Instant::from_millis(1), "fired");
+        let cancelled = q.push(Instant::from_millis(2), "cancelled");
+        q.cancel(cancelled);
+        assert_eq!(q.pop().unwrap().1, "fired");
+        // `fired`'s slot is recycled by `b`; the stale handle must not move it.
+        q.push(Instant::from_millis(3), "b");
+        assert_eq!(q.reschedule(fired, Instant::from_millis(7)), None);
+        assert_eq!(q.reschedule(cancelled, Instant::from_millis(2)), None);
+        assert_eq!(q.reschedule(cancelled, Instant::from_millis(9)), None);
+        assert_eq!(q.live_len(), 1);
+        assert_eq!(q.pop(), Some((Instant::from_millis(3), "b")));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn rescheduled_event_counts_once() {
+        let mut q = EventQueue::new();
+        let mut id = q.push(Instant::from_millis(10), ());
+        for t in [20, 30, 15, 40, 12] {
+            id = q.reschedule(id, Instant::from_millis(t)).expect("live");
+            assert_eq!(q.live_len(), 1);
+        }
+        assert_eq!(q.peak_depth(), 1);
+        assert_eq!(q.pop(), Some((Instant::from_millis(12), ())));
+        assert!(q.is_empty());
+        assert!(q.pop().is_none());
+        assert_eq!(q.delivered(), 1);
     }
 
     #[test]

@@ -10,16 +10,23 @@ use wifi_mac::frame::{Frame, FrameBody};
 
 use crate::selection::Candidate;
 
-use super::{Sched, World};
+use super::{Sched, World, HEARING_RADIUS_M};
 
 /// Events of the air layer.
 #[derive(Debug)]
 pub(super) enum AirEvent {
     /// An AP's periodic beacon timer.
     BeaconTick { ap: usize },
-    /// A frame from AP `ap` reaches client `client`'s antenna.
+    /// A unicast frame from AP `ap` reaches client `client`'s antenna.
     ToClient {
         client: usize,
+        ap: usize,
+        frame: Frame,
+    },
+    /// One broadcast transmission from AP `ap` reaches the antennas of
+    /// `audience`, in ascending client order.
+    Broadcast {
+        audience: Vec<usize>,
         ap: usize,
         frame: Frame,
     },
@@ -45,6 +52,15 @@ impl World {
             AirEvent::BeaconTick { ap } => self.beacon_tick(ap, sched),
             AirEvent::ToClient { client, ap, frame } => {
                 self.on_air_to_client(client, ap, &frame, sched)
+            }
+            AirEvent::Broadcast {
+                audience,
+                ap,
+                frame,
+            } => {
+                for client in audience {
+                    self.on_air_to_client(client, ap, &frame, sched);
+                }
             }
             AirEvent::ToAp { ap, frame } => self.with_ap_actions(ap, sched, |mac, rng, out| {
                 mac.on_frame_into(&frame, now, rng, out)
@@ -180,9 +196,9 @@ impl World {
 
     /// AP transmits `frame` after `extra_delay` (management processing
     /// time). Unicast frames are routed to the station's owning client;
-    /// broadcast frames fan out to every client (one shared-medium seize
-    /// either way — it is one transmission on the air). Whether a client
-    /// *hears* it is decided at arrival.
+    /// broadcast frames reach every client. Either way it is one
+    /// transmission on the air: one shared-medium seize and one queued
+    /// event. Whether a client *hears* it is decided at arrival.
     pub(super) fn ap_send(
         &mut self,
         ap: usize,
@@ -216,29 +232,15 @@ impl World {
             self.cfg.phy.airtime(frame.wire_len())
         };
         let arrival = self.seize_medium(channel, now + extra_delay, airtime);
-        match target {
-            Some(client) => {
-                sched.at(arrival, AirEvent::ToClient { client, ap, frame });
-            }
-            // Broadcast: one transmission, every antenna sees it.
-            None => self.fan_out(0..self.clients.len(), ap, &frame, arrival, sched),
-        }
-    }
-
-    /// One transmission's arrival at each of `clients`' antennas, in
-    /// ascending client order.
-    fn fan_out(
-        &self,
-        clients: impl Iterator<Item = usize>,
-        ap: usize,
-        frame: &Frame,
-        arrival: Instant,
-        sched: &mut Sched,
-    ) {
-        for client in clients {
-            let frame = frame.clone();
-            sched.at(arrival, AirEvent::ToClient { client, ap, frame });
-        }
+        let event = match target {
+            Some(client) => AirEvent::ToClient { client, ap, frame },
+            None => AirEvent::Broadcast {
+                audience: (0..self.clients.len()).collect(),
+                ap,
+                frame,
+            },
+        };
+        sched.at(arrival, event);
     }
 
     /// A frame arrived at a client's antenna: deliverable only if that
@@ -284,13 +286,12 @@ impl World {
     fn beacon_tick(&mut self, ap: usize, sched: &mut Sched) {
         let now = sched.now;
         let interval = self.aps[ap].mac.config().beacon_interval;
-        // Fan out to every client within earshot: one transmission on the
-        // air (one medium seize, one airtime charge), one arrival per
-        // in-range antenna.
-        let in_range: Vec<usize> = (0..self.clients.len())
-            .filter(|&c| self.distance_to(c, ap, now) <= 400.0)
+        // Every client within earshot hears one transmission: one medium
+        // seize, one airtime charge, one queued event for the audience.
+        let audience: Vec<usize> = (0..self.clients.len())
+            .filter(|&c| self.distance_to(c, ap, now) <= HEARING_RADIUS_M)
             .collect();
-        if in_range.is_empty() {
+        if audience.is_empty() {
             // Out of everyone's earshot: check back lazily instead of
             // spamming events.
             sched.after(Duration::from_secs(2), AirEvent::BeaconTick { ap });
@@ -300,7 +301,12 @@ impl World {
         let channel = self.aps[ap].site.channel;
         let airtime = self.cfg.phy.airtime(frame.wire_len());
         let arrival = self.seize_medium(channel, now, airtime);
-        self.fan_out(in_range.into_iter(), ap, &frame, arrival, sched);
+        let event = AirEvent::Broadcast {
+            audience,
+            ap,
+            frame,
+        };
+        sched.at(arrival, event);
         sched.after(interval, AirEvent::BeaconTick { ap });
     }
 

@@ -6,6 +6,7 @@
 use dhcp::message::DhcpMessage;
 use dhcp::server::{DhcpServer, DhcpServerConfig};
 use mobility::deployment::ApSite;
+use sim_engine::queue::EventId;
 use sim_engine::rng::Rng;
 use sim_engine::time::Duration;
 use sim_engine::wire::Bytes;
@@ -30,7 +31,17 @@ pub(super) struct ApNode {
     /// Live content-server connections, sorted by connection id (ids are
     /// minted monotonically, so pushes keep the order). A handful at most
     /// per AP, so a linear scan beats an ordered map on the hot path.
-    senders: Vec<(u64, BulkSender)>,
+    senders: Vec<ServerConn>,
+}
+
+/// One content-server connection: its TCP sender and its one queued RTO.
+struct ServerConn {
+    conn: u64,
+    sender: BulkSender,
+    /// The queued `SenderTimer` event and the token it will deliver. Each
+    /// re-arm moves this event instead of queueing another, so at most
+    /// one RTO event per connection is ever in the queue.
+    rto: Option<(EventId, u64)>,
 }
 
 impl ApNode {
@@ -50,24 +61,22 @@ impl ApNode {
         }
     }
 
-    fn sender_mut(&mut self, conn: u64) -> Option<&mut BulkSender> {
-        self.senders
-            .iter_mut()
-            .find(|(c, _)| *c == conn)
-            .map(|(_, s)| s)
+    fn conn_mut(&mut self, conn: u64) -> Option<&mut ServerConn> {
+        self.senders.iter_mut().find(|c| c.conn == conn)
     }
 
     pub(super) fn remove_sender(&mut self, conn: u64) {
         // `retain` keeps the remaining connections in id order.
-        self.senders.retain(|(c, _)| *c != conn);
+        self.senders.retain(|c| c.conn != conn);
     }
 }
 
 /// Events of the AP, backhaul and content-server layer.
 #[derive(Debug)]
 pub(super) enum ApEvent {
-    /// TCP sender RTO at the content server behind AP `ap`.
-    SenderTimer { ap: usize, conn: u64, token: u64 },
+    /// TCP sender RTO at the content server behind AP `ap`; the token it
+    /// delivers is the connection's latest (see `ServerConn::rto`).
+    SenderTimer { ap: usize, conn: u64 },
     /// A TCP segment from the server arrives at AP `ap`.
     FromServer { ap: usize, payload: Bytes },
     /// A client TCP segment (ACK) arrives at the server behind AP `ap`.
@@ -85,7 +94,12 @@ impl World {
     pub(super) fn handle_ap(&mut self, event: ApEvent, sched: &mut Sched) {
         let now = sched.now;
         match event {
-            ApEvent::SenderTimer { ap, conn, token } => {
+            ApEvent::SenderTimer { ap, conn } => {
+                // The event has fired: the next arm queues a fresh one.
+                let Some((_, token)) = self.aps[ap].conn_mut(conn).and_then(|c| c.rto.take())
+                else {
+                    return;
+                };
                 let rto = self.with_sender(ap, conn, sched, |sender, out| {
                     sender.on_timer_into(token, now, out);
                     out.iter().any(|a| matches!(a, SenderAction::Transmit(_)))
@@ -162,7 +176,7 @@ impl World {
         sched: &mut Sched,
         input: impl FnOnce(&mut BulkSender, &mut Vec<SenderAction>) -> R,
     ) -> Option<R> {
-        let sender = self.aps[ap].sender_mut(conn)?;
+        let sender = &mut self.aps[ap].conn_mut(conn)?.sender;
         let mut actions = std::mem::take(&mut self.sender_actions_scratch);
         let out = input(sender, &mut actions);
         self.process_sender_actions(ap, conn, &mut actions, sched);
@@ -220,7 +234,12 @@ impl World {
                     }
                 }
                 SenderAction::ArmTimer { after, token } => {
-                    sched.after(after, ApEvent::SenderTimer { ap, conn, token });
+                    let Some(c) = self.aps[ap].conn_mut(conn) else {
+                        continue;
+                    };
+                    let timer = ApEvent::SenderTimer { ap, conn };
+                    let id = sched.rearm(c.rto.map(|(id, _)| id), after, timer);
+                    c.rto = Some((id, token));
                 }
                 SenderAction::Connected => {}
                 done @ (SenderAction::Complete | SenderAction::Aborted) => {
@@ -278,7 +297,11 @@ impl World {
             .min(self.cfg.bytes_per_connection);
         let mut sender = BulkSender::new(self.cfg.tcp.clone(), conn, object, isn);
         let mut actions = sender.start(sched.now);
-        self.aps[ap].senders.push((conn, sender));
+        self.aps[ap].senders.push(ServerConn {
+            conn,
+            sender,
+            rto: None,
+        });
         node.ifaces[iface].conn = Some(conn);
         node.ifaces[iface].receiver = Some(BulkReceiver::new(conn));
         self.process_sender_actions(ap, conn, &mut actions, sched);

@@ -53,7 +53,7 @@ use geo::{GridIndex, MoverIndex, RankedSet};
 use mobility::deployment::ApSite;
 use mobility::geometry::Point;
 use mobility::route::Vehicle;
-use sim_engine::queue::EventQueue;
+use sim_engine::queue::{EventId, EventQueue};
 use sim_engine::rng::Rng;
 use sim_engine::runner::{run_until, Handler};
 use sim_engine::stats::Samples;
@@ -84,6 +84,10 @@ use join::{Iface, JoinEvent};
 /// IP protocol numbers used as payload tags.
 const PROTO_UDP: u8 = 17;
 const PROTO_TCP: u8 = 6;
+
+/// Radius of a client's hearing disc: the APs whose beacons it is sent,
+/// and the APs the 1 Hz upkeep counts around it.
+const HEARING_RADIUS_M: f64 = 400.0;
 
 /// Where the client is over time.
 #[derive(Debug, Clone)]
@@ -374,6 +378,17 @@ impl Sched<'_> {
     fn after(&mut self, delay: Duration, event: impl Into<Event>) {
         self.at(self.now + delay, event);
     }
+
+    /// Move the queued event `id` to `delay` from now; if it already
+    /// fired or was cancelled, schedule `event` there instead. Returns the
+    /// handle of the one queued event.
+    fn rearm(&mut self, id: Option<EventId>, delay: Duration, event: impl Into<Event>) -> EventId {
+        let at = self.now + delay;
+        match id.and_then(|id| self.queue.reschedule(id, at)) {
+            Some(id) => id,
+            None => self.queue.push(at, event.into()),
+        }
+    }
 }
 
 /// Simulation events, one enum per layer. Client-scoped events carry the
@@ -470,7 +485,7 @@ struct ClientNode {
     /// Per-client joins/bytes/cell-crossings, reported in
     /// [`RunResult::per_client`].
     counters: ClientCounters,
-    /// High-water mark of APs inside the 400 m hearing disc (1 Hz
+    /// High-water mark of APs inside the hearing disc (1 Hz
     /// samples via the grid). Diagnostic only — never in `RunRecord`.
     peak_inrange_aps: u32,
 }
@@ -579,7 +594,7 @@ impl World {
             }
         }
 
-        // Cell edge 200 m: a 400 m hearing disc touches at most a 5×5
+        // Cell edge 200 m: a hearing disc (400 m) touches at most a 5×5
         // block of cells, and a vehicular client crosses a cell boundary
         // every ten-odd seconds, so incremental mover updates are rare.
         const CELL_M: f64 = 200.0;
@@ -751,7 +766,7 @@ pub struct RunDiagnostics {
     /// Cancelled-but-still-queued entries do not count — see
     /// `EventQueue::peak_depth`.
     pub peak_queue_depth: usize,
-    /// High-water mark of APs inside any client's 400 m hearing disc,
+    /// High-water mark of APs inside any client's hearing disc,
     /// sampled at 1 Hz through the spatial grid (deterministic; the max
     /// over the fleet).
     pub peak_inrange_aps: u32,

@@ -3,7 +3,7 @@
 
 use sim_engine::time::Duration;
 
-use super::{ClientNode, Event, Sched, World};
+use super::{ClientNode, Event, Sched, World, HEARING_RADIUS_M};
 
 /// How long an unrefreshed scan entry stays in the heard set. Must
 /// exceed every consumer's freshness window (`select_aps`: 2 s,
@@ -15,10 +15,10 @@ impl World {
     pub(super) fn maintenance(&mut self, sched: &mut Sched) {
         let now = sched.now;
         // Spatial upkeep: move every client's cell membership and sample
-        // how many APs each 400 m hearing disc covers — grid range
-        // queries, not scans over `aps`. The mover index then feeds back
-        // as cell occupancy: how many fleet members (self included) share
-        // each client's cell, which scales the uplink contention bound in
+        // how many APs each hearing disc covers — grid range queries, not
+        // scans over `aps`. The mover index then feeds back as cell
+        // occupancy: how many fleet members (self included) share each
+        // client's cell, which scales the uplink contention bound in
         // `client_send`. Occupancy is 1 whenever a client is alone in its
         // cell.
         for c in 0..self.clients.len() {
@@ -26,7 +26,7 @@ impl World {
             if self.mover_cells.update(c, pos) {
                 self.clients[c].counters.cell_crossings += 1;
             }
-            let inrange = self.grid.count_in_disc(pos, 400.0) as u32;
+            let inrange = self.grid.count_in_disc(pos, HEARING_RADIUS_M) as u32;
             let node = &mut self.clients[c];
             node.peak_inrange_aps = node.peak_inrange_aps.max(inrange);
         }

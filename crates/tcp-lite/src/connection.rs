@@ -54,6 +54,11 @@ pub enum SenderAction {
     Transmit(Segment),
     /// Arm the retransmission timer; deliver `token` back via
     /// [`BulkSender::on_timer`] after `after`. Newer tokens supersede.
+    ///
+    /// The world keeps one queued timer event per connection and moves it
+    /// on every arm, so only the newest token is ever delivered there.
+    /// `on_timer` still ignores stale tokens: that check is the state
+    /// machine's own guard, whatever the caller does with its timers.
     ArmTimer {
         /// Delay until expiry.
         after: Duration,

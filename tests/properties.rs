@@ -619,6 +619,93 @@ fn event_queue_matches_reference_model() {
     });
 }
 
+/// `reschedule` agrees with an eager model of timer re-arming: the
+/// reference pushes one event per arm and skips, at pop, every event a
+/// later arm or a disarm superseded. Times fall on a coarse 10 ms grid, so
+/// same-instant ties between timers and plain events are common: a
+/// re-armed timer must take exactly the place a fresh push would.
+#[test]
+fn event_queue_reschedule_matches_eager_rearm_model() {
+    check("event_queue_reschedule_matches_eager_rearm_model", |g| {
+        use spider_repro::engine::{EventId, EventQueue};
+        const TIMERS: usize = 3;
+        let ops = g.vec(1, 300, |g| {
+            (g.usize_in(0, 5), g.usize_in(0, TIMERS), g.u64_in(0, 4))
+        });
+        let mut q: EventQueue<u64> = EventQueue::new();
+        // Each timer's one queued event. The handle is kept after the event
+        // fires or is cancelled, so re-arming then goes through a stale
+        // handle, whose slot may since hold another event.
+        let mut timers: [Option<EventId>; TIMERS] = [None; TIMERS];
+        let mut plain: Vec<(EventId, u64)> = Vec::new();
+        // Reference: (time_ms, push order, payload, arm). Timer `k` has
+        // payload `k` and is current only while `arm` is its latest arm;
+        // plain events have payloads from `TIMERS` up and arm 0.
+        let mut model: Vec<(u64, u64, u64, u64)> = Vec::new();
+        let mut latest = [0u64; TIMERS]; // 0 = disarmed
+        let current = |e: &(u64, u64, u64, u64), latest: &[u64; TIMERS]| {
+            e.3 == 0 || latest[e.2 as usize] == e.3
+        };
+        let mut now_ms = 0u64;
+        for (seq, (op, k, slots)) in (0u64..).zip(ops) {
+            let at_ms = now_ms + 10 * slots;
+            let at = Instant::from_millis(at_ms);
+            match op {
+                0 => {
+                    let payload = TIMERS as u64 + seq;
+                    plain.push((q.push(at, payload), payload));
+                    model.push((at_ms, seq, payload, 0));
+                }
+                1 => {
+                    let moved = timers[k].and_then(|id| q.reschedule(id, at));
+                    timers[k] = Some(moved.unwrap_or_else(|| q.push(at, k as u64)));
+                    latest[k] = seq + 1;
+                    model.push((at_ms, seq, k as u64, seq + 1));
+                }
+                2 => {
+                    if let Some(id) = timers[k] {
+                        q.cancel(id);
+                    }
+                    latest[k] = 0;
+                }
+                3 => {
+                    if !plain.is_empty() {
+                        let (id, payload) = plain.swap_remove(k % plain.len());
+                        q.cancel(id);
+                        model.retain(|e| e.2 != payload);
+                    }
+                }
+                _ => {
+                    let expected = model
+                        .iter()
+                        .filter(|e| current(e, &latest))
+                        .min_by_key(|e| (e.0, e.1))
+                        .copied();
+                    match (expected, q.pop()) {
+                        (None, None) => {}
+                        (Some(e), Some((at, payload))) => {
+                            prop_assert_eq!((at, payload), (Instant::from_millis(e.0), e.2));
+                            now_ms = e.0;
+                            model.retain(|m| m.1 != e.1);
+                            if e.3 == 0 {
+                                plain.retain(|&(_, p)| p != e.2);
+                            } else {
+                                latest[e.2 as usize] = 0;
+                            }
+                        }
+                        (e, got) => return Err(format!("model {e:?} vs queue {got:?}")),
+                    }
+                }
+            }
+            model.retain(|e| current(e, &latest));
+            prop_assert_eq!(q.live_len(), model.len());
+            let next = model.iter().map(|e| e.0).min().map(Instant::from_millis);
+            prop_assert_eq!(q.next_live_time(), next);
+        }
+        Ok(())
+    });
+}
+
 /// TCP end-to-end over a pipe with random loss, reordering, and delay: the
 /// receiver must deliver every payload byte exactly once (no gaps, no
 /// duplicates reach the application), and the transfer completes.
