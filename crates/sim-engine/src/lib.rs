@@ -9,8 +9,8 @@
 //!
 //! * [`time`] — integer-nanosecond virtual clock ([`time::Instant`],
 //!   [`time::Duration`]).
-//! * [`queue`] — future-event list with strict total order and O(1) timer
-//!   cancellation.
+//! * [`queue`] — future-event list with strict total order, O(1) timer
+//!   cancellation, and O(1) FIFO lanes for fixed-period timers.
 //! * [`runner`] — the event pump ([`runner::Handler`],
 //!   [`runner::run_until`]).
 //! * [`rng`] — self-contained xoshiro256** PRNG with forkable streams and

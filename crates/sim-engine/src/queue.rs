@@ -24,11 +24,38 @@
 //! entry instead of probing a `BTreeSet`, and slots are recycled through a
 //! free list, so a steady-state run performs no per-event allocation once
 //! the arena has grown to the peak number of outstanding events.
+//!
+//! # Fixed-period timers: FIFO lanes
+//!
+//! A periodic timer (a beacon, a 1 Hz upkeep, a schedule slice) re-arms
+//! itself a fixed delay after the instant it fires. [`EventQueue::add_lane`]
+//! opens a FIFO lane for one such delay: a push at exactly `now + delay`
+//! is appended to that lane's `VecDeque` in O(1) instead of being sifted
+//! into the heap. Lanes change the cost of a push and a pop, never the
+//! order:
+//!
+//! * `now` never decreases and the sequence number always grows, so
+//!   successive pushes at `now + delay` arrive in ascending `(at, seq)`
+//!   order, and each lane is sorted by the same key the heap orders by.
+//!   The push still checks the lane's tail and falls back to the heap if
+//!   appending would break that order.
+//! * A pop takes the least `(at, seq)` among the heap's top and the lane
+//!   fronts, so the total order is exactly the heap-only order.
+//! * Every queued entry's key is at most its slot's current key (a
+//!   reschedule later only raises the slot's key). A cancelled lane front
+//!   is dropped; a lane front whose event was rescheduled later is
+//!   re-seated into the heap at its new key, exactly as a stale heap top
+//!   is re-keyed. The least key left is then live and current.
+//!
+//! A push whose delay is below the smallest lane delay skips the lane
+//! search, so the data path (sub-millisecond airtimes) pays one
+//! comparison for the lanes.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::VecDeque;
 
-use crate::time::Instant;
+use crate::time::{Duration, Instant};
 
 /// Opaque handle identifying a scheduled event, used for cancellation.
 ///
@@ -44,12 +71,13 @@ pub struct EventId {
 /// Per-slot bookkeeping: the current generation, whether the event
 /// occupying the slot is still live (scheduled and not cancelled), the
 /// event's current `(at, seq)` key, and the event payload itself. Keeping
-/// the payload here — index-addressed by the 24-byte heap entries — means
+/// the payload here — index-addressed by the 24-byte queue entries — means
 /// heap sift operations move small fixed-size keys instead of whole events.
 ///
-/// Each slot has at most one heap entry. Its key equals the slot's key
-/// unless the event was rescheduled later since the entry was queued; the
-/// entry then surfaces early and is re-seated at the slot's key.
+/// Each slot has at most one queued entry, in the heap or in a lane. Its
+/// key equals the slot's key unless the event was rescheduled later since
+/// the entry was queued; the entry then surfaces early and is re-seated in
+/// the heap at the slot's key.
 struct Slot<E> {
     gen: u32,
     live: bool,
@@ -58,10 +86,17 @@ struct Slot<E> {
     event: Option<E>,
 }
 
+#[derive(Clone, Copy)]
 struct Entry {
     at: Instant,
     seq: u64,
     slot: u32,
+}
+
+impl Entry {
+    fn key(&self) -> (Instant, u64) {
+        (self.at, self.seq)
+    }
 }
 
 // BinaryHeap is a max-heap; invert the ordering to pop the earliest event.
@@ -69,10 +104,7 @@ struct Entry {
 // pop order, which is what keeps the slot rewrite event-order-neutral.
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 impl PartialOrd for Entry {
@@ -82,10 +114,24 @@ impl PartialOrd for Entry {
 }
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl Eq for Entry {}
+
+/// A FIFO lane for events pushed exactly `delay` after the queue's now,
+/// sorted by `(at, seq)` (see the module docs).
+struct Lane {
+    delay: Duration,
+    entries: VecDeque<Entry>,
+}
+
+/// Where the earliest live event's entry waits.
+#[derive(Clone, Copy)]
+enum Head {
+    Heap,
+    Lane(usize),
+}
 
 /// A deterministic future-event list.
 ///
@@ -105,11 +151,18 @@ impl Eq for Entry {}
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry>,
+    /// FIFO lanes, one per registered delay.
+    lanes: Vec<Lane>,
+    /// The smallest lane delay ([`Duration::MAX`] with no lanes): a push
+    /// with a shorter delay goes straight to the heap.
+    min_lane_delay: Duration,
+    /// Entries (live or cancelled) waiting in lanes.
+    laned: usize,
     /// Slot arena; entry `i` holds the event (if any) occupying slot `i`.
     slots: Vec<Slot<E>>,
     /// Recycled slot indices available for the next push.
     free: Vec<u32>,
-    /// Number of cancelled entries still physically present in the heap.
+    /// Number of cancelled entries still physically queued.
     cancelled: usize,
     next_seq: u64,
     /// Time of the most recently popped event; pops are monotone.
@@ -130,6 +183,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lanes: Vec::new(),
+            min_lane_delay: Duration::MAX,
+            laned: 0,
             slots: Vec::new(),
             free: Vec::new(),
             cancelled: 0,
@@ -138,6 +194,21 @@ impl<E> EventQueue<E> {
             popped: 0,
             peak_live: 0,
         }
+    }
+
+    /// Open a FIFO lane for events pushed exactly `delay` after the
+    /// queue's now: such a push costs O(1) instead of a heap sift. The
+    /// pop order is unchanged (see the module docs). Registering a delay
+    /// twice opens one lane.
+    pub fn add_lane(&mut self, delay: Duration) {
+        if self.lanes.iter().any(|lane| lane.delay == delay) {
+            return;
+        }
+        self.lanes.push(Lane {
+            delay,
+            entries: VecDeque::new(),
+        });
+        self.min_lane_delay = self.min_lane_delay.min(delay);
     }
 
     /// The time of the last popped event — "now" from the perspective of the
@@ -154,8 +225,8 @@ impl<E> EventQueue<E> {
     /// High-water mark of live scheduled events over the queue's lifetime
     /// (diagnostics; also the steady-state size of the slot arena).
     ///
-    /// Cancelled entries still physically queued in the heap are **not**
-    /// counted: this is the depth campaign progress lines report, and a
+    /// Cancelled entries still physically queued are **not** counted:
+    /// this is the depth campaign progress lines report, and a
     /// timer-heavy run that cancels most of what it schedules would
     /// otherwise look far deeper than it ever was.
     pub fn peak_depth(&self) -> usize {
@@ -197,12 +268,37 @@ impl<E> EventQueue<E> {
             }
         };
         let gen = self.slots[slot as usize].gen;
-        self.heap.push(Entry { at, seq, slot });
-        let live = self.heap.len() - self.cancelled;
+        let entry = Entry { at, seq, slot };
+        if !self.push_to_lane(entry) {
+            self.heap.push(entry);
+        }
+        let live = self.len() - self.cancelled;
         if live > self.peak_live {
             self.peak_live = live;
         }
         EventId { slot, gen }
+    }
+
+    /// Append `entry` to the lane of its delay, if there is one and the
+    /// lane stays sorted. Returns whether it was appended.
+    fn push_to_lane(&mut self, entry: Entry) -> bool {
+        let delay = entry.at.since(self.now);
+        if delay < self.min_lane_delay {
+            return false;
+        }
+        let Some(lane) = self.lanes.iter_mut().find(|lane| lane.delay == delay) else {
+            return false;
+        };
+        if lane
+            .entries
+            .back()
+            .is_some_and(|tail| tail.key() > entry.key())
+        {
+            return false;
+        }
+        lane.entries.push_back(entry);
+        self.laned += 1;
+        true
     }
 
     /// Cancel a previously scheduled event. Idempotent; cancelling an event
@@ -212,7 +308,7 @@ impl<E> EventQueue<E> {
         if let Some(slot) = self.slots.get_mut(id.slot as usize) {
             if slot.gen == id.gen && slot.live {
                 slot.live = false;
-                // Drop the payload now; the dead heap entry is just a key.
+                // Drop the payload now; the dead entry is just a key.
                 slot.event = None;
                 self.cancelled += 1;
             }
@@ -225,8 +321,8 @@ impl<E> EventQueue<E> {
     /// earlier; `None`, and nothing moves, if `id` already fired or was
     /// cancelled.
     ///
-    /// A move to the same or a later instant is O(1): the heap entry stays
-    /// put and is re-seated at the new key when it surfaces. A move
+    /// A move to the same or a later instant is O(1): the queued entry
+    /// stays put and is re-seated at the new key when it surfaces. A move
     /// earlier cancels the entry and pushes the payload afresh.
     ///
     /// # Panics
@@ -252,8 +348,8 @@ impl<E> EventQueue<E> {
         Some(self.push(at, event))
     }
 
-    /// Retire `slot` once its entry has left the heap: bump the generation
-    /// (invalidating outstanding handles) and recycle the index.
+    /// Retire `slot` once its entry has left the queue: bump the
+    /// generation (invalidating outstanding handles) and recycle the index.
     fn release_slot(&mut self, slot: u32) {
         let s = &mut self.slots[slot as usize];
         s.gen = s.gen.wrapping_add(1);
@@ -264,8 +360,20 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest live event, advancing the queue clock to its time.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        self.peek_time()?;
-        let entry = self.heap.pop()?;
+        let (head, _) = self.head()?;
+        self.take(head)
+    }
+
+    /// Remove the entry at `head` and deliver its event.
+    fn take(&mut self, head: Head) -> Option<(Instant, E)> {
+        let entry = match head {
+            Head::Heap => self.heap.pop()?,
+            Head::Lane(i) => {
+                let entry = self.lanes[i].entries.pop_front()?;
+                self.laned -= 1;
+                entry
+            }
+        };
         let event = self.slots[entry.slot as usize].event.take();
         self.release_slot(entry.slot);
         debug_assert!(entry.at >= self.now, "event queue time went backwards");
@@ -274,12 +382,49 @@ impl<E> EventQueue<E> {
         event.map(|event| (entry.at, event))
     }
 
-    /// Time of the earliest live event, without popping it. Brings that
-    /// event's entry to the top of the heap on the way: cancelled entries
-    /// are dropped and entries of events rescheduled later are re-seated,
-    /// so repeated calls are cheap; see [`EventQueue::next_live_time`] for
-    /// a `&self` variant.
-    pub fn peek_time(&mut self) -> Option<Instant> {
+    /// Find the earliest live event: where its entry waits, and its time.
+    /// The heap's top is settled first. A lane front is looked at only if
+    /// its key is below the best so far: every entry's key is at most its
+    /// event's, so a lane whose front is later holds nothing earlier. A
+    /// looked-at front that is cancelled is dropped, and one that was
+    /// rescheduled later is re-seated in the heap; either way the lane's
+    /// next front is looked at in turn.
+    fn head(&mut self) -> Option<(Head, Instant)> {
+        let mut best = self.settle_heap().map(|top| (Head::Heap, top.key()));
+        for i in 0..self.lanes.len() {
+            while let Some(front) = self.lanes[i].entries.front().copied() {
+                if best.is_some_and(|(_, key)| key < front.key()) {
+                    break;
+                }
+                let slot = &self.slots[front.slot as usize];
+                if slot.live && slot.seq == front.seq {
+                    best = Some((Head::Lane(i), front.key()));
+                    break;
+                }
+                let (live, at, seq) = (slot.live, slot.at, slot.seq);
+                self.lanes[i].entries.pop_front();
+                self.laned -= 1;
+                if !live {
+                    self.cancelled -= 1;
+                    self.release_slot(front.slot);
+                    continue;
+                }
+                // If it is below the best so far, the re-seated entry is
+                // the heap's new top: the old top was settled and is no
+                // earlier than the best.
+                self.heap.push(Entry { at, seq, ..front });
+                match best {
+                    Some((_, key)) if key < (at, seq) => {}
+                    _ => best = Some((Head::Heap, (at, seq))),
+                }
+            }
+        }
+        best.map(|(head, (at, _))| (head, at))
+    }
+
+    /// Drop cancelled entries off the heap's top and re-key entries of
+    /// events rescheduled later, until the top is live and current.
+    fn settle_heap(&mut self) -> Option<Entry> {
         loop {
             let mut top = self.heap.peek_mut()?;
             let slot = &self.slots[top.slot as usize];
@@ -292,25 +437,43 @@ impl<E> EventQueue<E> {
                 top.at = slot.at;
                 top.seq = slot.seq;
             } else {
-                return Some(top.at);
+                return Some(*top);
             }
         }
     }
 
+    /// Time of the earliest live event, without popping it. Brings that
+    /// event's entry to the front of its heap or lane on the way:
+    /// cancelled entries are dropped and entries of events rescheduled
+    /// later are re-seated, so repeated calls are cheap; see
+    /// [`EventQueue::next_live_time`] for a `&self` variant.
+    pub fn peek_time(&mut self) -> Option<Instant> {
+        self.head().map(|(_, at)| at)
+    }
+
     /// Time of the earliest live event without mutating the queue.
     ///
-    /// O(1) when the heap's top entry is live and current (the common
-    /// case); falls back to a full scan when a cancelled or rescheduled
-    /// entry is on top. Prefer [`EventQueue::peek_time`] in loops that also
-    /// pop — it compacts as it goes.
+    /// O(lanes) when the heap's top and every lane front are live and
+    /// current (the common case); falls back to a full scan when a
+    /// cancelled or rescheduled entry is at a front. Prefer
+    /// [`EventQueue::peek_time`] in loops that also pop — it compacts as
+    /// it goes.
     pub fn next_live_time(&self) -> Option<Instant> {
-        let top = self.heap.peek()?;
-        let slot = &self.slots[top.slot as usize];
-        if slot.live && slot.seq == top.seq {
-            return Some(top.at);
+        let current = |e: &Entry| {
+            let slot = &self.slots[e.slot as usize];
+            slot.live && slot.seq == e.seq
+        };
+        let fronts = self
+            .heap
+            .peek()
+            .into_iter()
+            .chain(self.lanes.iter().filter_map(|lane| lane.entries.front()));
+        if fronts.clone().all(current) {
+            return fronts.map(Entry::key).min().map(|(at, _)| at);
         }
         self.heap
             .iter()
+            .chain(self.lanes.iter().flat_map(|lane| lane.entries.iter()))
             .map(|e| &self.slots[e.slot as usize])
             .filter(|s| s.live)
             .map(|s| s.at)
@@ -320,25 +483,26 @@ impl<E> EventQueue<E> {
     /// Pop the earliest live event if it fires at or before `deadline`,
     /// advancing the clock; events strictly after `deadline` stay queued.
     pub fn pop_at_or_before(&mut self, deadline: Instant) -> Option<(Instant, E)> {
-        if self.peek_time()? > deadline {
+        let (head, at) = self.head()?;
+        if at > deadline {
             return None;
         }
-        self.pop()
+        self.take(head)
     }
 
     /// Number of scheduled events **including cancelled entries** still
-    /// physically present in the heap. This over-counts after cancellations;
-    /// it exists because it is free. Use [`EventQueue::live_len`] for the
-    /// number of events that will actually fire, or
-    /// [`EventQueue::has_live_events`] for an emptiness test.
+    /// physically queued. This over-counts after cancellations; it exists
+    /// because it is free. Use [`EventQueue::live_len`] for the number of
+    /// events that will actually fire, or [`EventQueue::has_live_events`]
+    /// for an emptiness test.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.laned
     }
 
     /// Number of live (non-cancelled) scheduled events. O(1): maintained by
     /// a cancelled-entry counter, not by scanning tombstones.
     pub fn live_len(&self) -> usize {
-        self.heap.len() - self.cancelled
+        self.len() - self.cancelled
     }
 
     /// True if no live event remains — the complement of
@@ -347,7 +511,7 @@ impl<E> EventQueue<E> {
     /// This deliberately does **not** mirror [`EventQueue::len`]: a queue
     /// holding only cancelled tombstones is empty for every purpose a
     /// caller can observe (nothing will fire), and an `is_empty()` that
-    /// said `false` there was a footgun. For the physical heap size —
+    /// said `false` there was a footgun. For the physical queue size —
     /// tombstones included — compare `len()` to zero explicitly.
     pub fn is_empty(&self) -> bool {
         self.live_len() == 0
@@ -635,6 +799,76 @@ mod tests {
             "slot arena grew to {} for 4 outstanding events",
             q.slots.len()
         );
+    }
+
+    #[test]
+    fn lane_and_heap_tie_pops_in_seq_order() {
+        let mut q = EventQueue::new();
+        q.add_lane(Duration::from_millis(70));
+        let t = Instant::from_millis(100);
+        q.push(t, "heap-a"); // delay 100: the heap
+        q.push(Instant::from_millis(70), "lane-0"); // delay 70: the lane
+        assert_eq!((q.heap.len(), q.laned), (1, 1));
+        assert_eq!(q.pop(), Some((Instant::from_millis(70), "lane-0")));
+        q.push(Instant::from_millis(140), "later"); // the lane
+        q.push(t, "heap-b"); // delay 30 from now = 70: the heap
+        assert_eq!((q.heap.len(), q.laned), (2, 1));
+        assert_eq!(q.pop(), Some((t, "heap-a")));
+        q.push(Instant::from_millis(170), "lane-c");
+        q.push(Instant::from_millis(140), "heap-d");
+        // At 140 the lane's "later" (pushed before "heap-d") goes first.
+        assert_eq!(q.pop(), Some((t, "heap-b")));
+        assert_eq!(q.pop(), Some((Instant::from_millis(140), "later")));
+        assert_eq!(q.pop(), Some((Instant::from_millis(140), "heap-d")));
+        assert_eq!(q.pop(), Some((Instant::from_millis(170), "lane-c")));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn lane_front_rescheduled_later_is_reseated() {
+        let mut q = EventQueue::new();
+        q.add_lane(Duration::from_millis(10));
+        let a = q.push(Instant::from_millis(10), "a");
+        q.push(Instant::from_millis(10), "b");
+        q.push(Instant::from_millis(25), "c");
+        assert_eq!(q.laned, 2);
+        assert_eq!(q.reschedule(a, Instant::from_millis(30)), Some(a));
+        assert_eq!(q.next_live_time(), Some(Instant::from_millis(10)));
+        assert_eq!(q.pop(), Some((Instant::from_millis(10), "b")));
+        assert_eq!((q.heap.len(), q.laned), (2, 0), "a moved to the heap");
+        assert_eq!(q.pop(), Some((Instant::from_millis(25), "c")));
+        assert_eq!(q.pop(), Some((Instant::from_millis(30), "a")));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn cancelled_lane_front_is_skipped() {
+        let mut q = EventQueue::new();
+        q.add_lane(Duration::from_millis(10));
+        let a = q.push(Instant::from_millis(10), "a");
+        q.push(Instant::from_millis(10), "b");
+        q.push(Instant::from_millis(12), "c");
+        q.cancel(a);
+        assert_eq!((q.len(), q.live_len()), (3, 2));
+        assert_eq!(q.next_live_time(), Some(Instant::from_millis(10)));
+        assert_eq!(q.pop(), Some((Instant::from_millis(10), "b")));
+        assert_eq!((q.len(), q.live_len()), (1, 1), "the dead front is gone");
+        assert_eq!(q.pop(), Some((Instant::from_millis(12), "c")));
+        assert!(q.pop().is_none());
+        assert_eq!(q.delivered(), 2);
+    }
+
+    #[test]
+    fn lane_entries_count_toward_peak_depth() {
+        let mut q = EventQueue::new();
+        q.add_lane(Duration::from_millis(5));
+        for _ in 0..3 {
+            q.push(Instant::from_millis(5), ());
+        }
+        q.push(Instant::from_millis(9), ());
+        assert_eq!((q.len(), q.live_len(), q.peak_depth()), (4, 4, 4));
+        while q.pop().is_some() {}
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -44,6 +44,9 @@ const TX_QUEUE_TTL: Duration = Duration::from_secs(1);
 const AIR_QUEUE_BOUND: Duration = Duration::from_millis(500);
 /// Per-channel TX queue depth cap.
 const TX_QUEUE_CAP: usize = 128;
+/// How long an AP out of every client's earshot waits before it checks
+/// for listeners again, instead of beaconing into the void.
+pub(super) const BEACON_REPOLL: Duration = Duration::from_secs(2);
 
 impl World {
     pub(super) fn handle_air(&mut self, event: AirEvent, sched: &mut Sched) {
@@ -85,17 +88,28 @@ impl World {
             .distance(self.aps[ap].site.position)
     }
 
+    /// Whether `client` is within `HEARING_RADIUS_M` of AP `ap`.
+    fn in_earshot(&self, client: usize, ap: usize, now: Instant) -> bool {
+        self.distance_to(client, ap, now) <= HEARING_RADIUS_M
+    }
+
     /// Per-attempt frame error at `dist` for a `len`-byte frame, memoized
-    /// on the exact input bits (see the cache fields' doc comment).
+    /// on the exact input bits of the two most recent keys (see the cache
+    /// fields' doc comment).
     fn frame_error_at(&self, client: usize, dist: f64, len: usize) -> f64 {
         let key = (dist.to_bits(), len as u32);
-        if let Some((d, l, e)) = self.clients[client].fep_cache.get() {
-            if (d, l) == key {
+        let cache = &self.clients[client].fep_cache;
+        let [recent, older] = cache.get();
+        match (recent, older) {
+            (Some((k, e)), _) if k == key => return e,
+            (_, Some((k, e))) if k == key => {
+                cache.set([older, recent]);
                 return e;
             }
+            _ => {}
         }
         let e = self.cfg.phy.frame_error_prob(dist, len);
-        self.clients[client].fep_cache.set(Some((key.0, key.1, e)));
+        cache.set([Some((key, e)), recent]);
         e
     }
 
@@ -288,25 +302,37 @@ impl World {
         let interval = self.aps[ap].mac.config().beacon_interval;
         // Every client within earshot hears one transmission: one medium
         // seize, one airtime charge, one queued event for the audience.
-        let audience: Vec<usize> = (0..self.clients.len())
-            .filter(|&c| self.distance_to(c, ap, now) <= HEARING_RADIUS_M)
-            .collect();
-        if audience.is_empty() {
+        if !(0..self.clients.len()).any(|c| self.in_earshot(c, ap, now)) {
             // Out of everyone's earshot: check back lazily instead of
             // spamming events.
-            sched.after(Duration::from_secs(2), AirEvent::BeaconTick { ap });
+            sched.after(BEACON_REPOLL, AirEvent::BeaconTick { ap });
             return;
         }
-        let frame = self.aps[ap].mac.beacon(now);
         let channel = self.aps[ap].site.channel;
-        let airtime = self.cfg.phy.airtime(frame.wire_len());
+        let airtime = self.cfg.phy.airtime(self.aps[ap].mac.beacon_len());
         let arrival = self.seize_medium(channel, now, airtime);
-        let event = AirEvent::Broadcast {
-            audience,
-            ap,
-            frame,
-        };
-        sched.at(arrival, event);
+        // The beacon is on the air either way; only a listener that may
+        // hear it at arrival needs the event. Dropping the others changes
+        // nothing: `Radio::may_hear` false means the radio cannot hear the
+        // channel at arrival whatever switches happen before then, and a
+        // deaf receiver of a non-Data frame returns from
+        // `on_air_to_client` before any RNG draw or state change. An empty
+        // audience allocates nothing.
+        let audience: Vec<usize> = (0..self.clients.len())
+            .filter(|&c| self.clients[c].radio.may_hear(channel, now, arrival))
+            .filter(|&c| self.in_earshot(c, ap, now))
+            .collect();
+        if audience.is_empty() {
+            self.aps[ap].mac.skip_beacon();
+        } else {
+            let frame = self.aps[ap].mac.beacon(now);
+            let event = AirEvent::Broadcast {
+                audience,
+                ap,
+                frame,
+            };
+            sched.at(arrival, event);
+        }
         sched.after(interval, AirEvent::BeaconTick { ap });
     }
 

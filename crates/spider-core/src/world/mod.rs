@@ -76,10 +76,11 @@ use crate::intern::MacIntern;
 use crate::metrics::Metrics;
 use crate::selection::Candidate;
 
-use air::AirEvent;
+use air::{AirEvent, BEACON_REPOLL};
 use ap::{ApEvent, ApNode};
 use channel::ChannelEvent;
 use join::{Iface, JoinEvent};
+use upkeep::MAINTENANCE_PERIOD;
 
 /// IP protocol numbers used as payload tags.
 const PROTO_UDP: u8 = 17;
@@ -432,6 +433,10 @@ impl From<ChannelEvent> for Event {
     }
 }
 
+/// A frame-error cache entry: the `(distance bits, frame length)` key and
+/// the per-attempt frame error.
+type FepEntry = ((u64, u32), f64);
+
 /// One client of the fleet: motion, radio, virtual interfaces, join
 /// history, scan state, and private RNG streams: everything logically
 /// *per station*. The shared medium, AP nodes, and metrics stay on
@@ -458,14 +463,18 @@ struct ClientNode {
     /// Spare queue buffer swapped against `tx_queues` on channel switch so
     /// steady-state flushes never allocate.
     tx_spare: Vec<(Instant, usize, Frame)>,
-    /// Exact-key one-entry caches for the pure per-frame math. Keys are
-    /// the full bit patterns of the inputs, so a hit returns the *same*
-    /// f64 the recomputation would — determinism-safe by construction.
-    /// They earn their keep because one delivered frame touches the same
+    /// Exact-key caches for the pure per-frame math. Keys are the full
+    /// bit patterns of the inputs, so a hit returns the *same* f64 the
+    /// recomputation would — determinism-safe by construction. They earn
+    /// their keep because one delivered frame touches the same
     /// `(distance, len)` several times in a single event (send airtime +
     /// delivery probability, then the ACK it triggers at the same `now`).
+    /// The frame-error cache keeps the two most recent keys, most recent
+    /// first: a stationary client alternates data and ACK lengths at one
+    /// distance, which a one-entry cache misses each time the length
+    /// alternates.
     pos_cache: Cell<Option<(Instant, Point)>>,
-    fep_cache: Cell<Option<(u64, u32, f64)>>,
+    fep_cache: Cell<[Option<FepEntry>; 2]>,
     rssi_cache: Cell<Option<(u64, f64)>>,
     /// Private RNG streams, forked from the master with client-stable
     /// stream ids (see [`crate::fleet`]): PHY delivery draws, radio
@@ -563,6 +572,9 @@ impl World {
         let n_clients = 1 + cfg.fleet.len();
 
         let mut queue = EventQueue::new();
+        for delay in lane_delays(&cfg, &aps) {
+            queue.add_lane(delay);
+        }
         // Stagger beacons so the channel isn't beacon-synchronized. These
         // draws come from `rng_misc` *before* client 0 takes ownership of
         // the stream, so they do not depend on the fleet.
@@ -578,7 +590,7 @@ impl World {
                 JoinEvent::Evaluate { client: c }.into(),
             );
         }
-        queue.push(Instant::from_secs(1), Event::Maintenance);
+        queue.push(Instant::ZERO + MAINTENANCE_PERIOD, Event::Maintenance);
         if matches!(cfg.spider.schedule, SchedulePolicy::MultiChannel { .. }) {
             for c in 0..n_clients {
                 queue.push(
@@ -617,7 +629,7 @@ impl World {
                 tx_queues: std::array::from_fn(|_| Vec::new()),
                 tx_spare: Vec::new(),
                 pos_cache: Cell::new(None),
-                fep_cache: Cell::new(None),
+                fep_cache: Cell::new([None; 2]),
                 rssi_cache: Cell::new(None),
                 rng_phy: phy,
                 rng_radio: radio,
@@ -726,6 +738,24 @@ impl World {
             per_client: self.clients.iter().map(|c| c.counters).collect(),
         }
     }
+}
+
+/// The delays the world's fixed-period timers re-arm themselves after,
+/// each of which gets a FIFO lane in the event queue (see
+/// `sim_engine::queue`): the AP beacon intervals, the out-of-earshot
+/// beacon re-poll, housekeeping, driver evaluation, multi-channel slices
+/// and adaptive reconsideration.
+fn lane_delays(cfg: &WorldConfig, aps: &[ApNode]) -> Vec<Duration> {
+    let schedule = match &cfg.spider.schedule {
+        SchedulePolicy::MultiChannel { slices } => slices.iter().map(|s| s.1).collect(),
+        SchedulePolicy::AdaptiveChannel { reconsider, .. } => vec![*reconsider],
+        SchedulePolicy::SingleChannel(_) | SchedulePolicy::ScanWhenIdle { .. } => Vec::new(),
+    };
+    aps.iter()
+        .map(|ap| ap.mac.config().beacon_interval)
+        .chain([BEACON_REPOLL, MAINTENANCE_PERIOD, cfg.spider.evaluate_every])
+        .chain(schedule)
+        .collect()
 }
 
 impl Handler<Event> for World {

@@ -11,6 +11,9 @@ use super::{ClientNode, Event, Sched, World, HEARING_RADIUS_M};
 /// entries a full scan-table walk would.
 const HEARD_TTL: Duration = Duration::from_secs(5);
 
+/// The housekeeping period.
+pub(super) const MAINTENANCE_PERIOD: Duration = Duration::from_secs(1);
+
 impl World {
     pub(super) fn maintenance(&mut self, sched: &mut Sched) {
         let now = sched.now;
@@ -55,6 +58,6 @@ impl World {
                 out.append(&mut mac.expire_idle(now))
             });
         }
-        sched.after(Duration::from_secs(1), Event::Maintenance);
+        sched.after(MAINTENANCE_PERIOD, Event::Maintenance);
     }
 }

@@ -222,6 +222,18 @@ impl ApMac {
         f
     }
 
+    /// A beacon that goes on the air but that no station can receive:
+    /// consume its sequence number, as [`ApMac::beacon`] would, without
+    /// building the frame.
+    pub fn skip_beacon(&mut self) {
+        self.next_seq();
+    }
+
+    /// The wire length of this AP's beacons.
+    pub fn beacon_len(&self) -> usize {
+        Frame::beacon_len(&self.config.ssid)
+    }
+
     /// Process a received frame at `now`. Frames not addressed to this BSS
     /// produce no actions.
     pub fn on_frame(&mut self, frame: &Frame, now: Instant, rng: &mut Rng) -> Vec<ApAction> {
@@ -760,5 +772,16 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(f.addr1.is_broadcast());
+    }
+
+    #[test]
+    fn skipped_beacon_takes_a_sequence_number_and_its_length_is_known() {
+        let (mut skipping, mut building) = (ap(), ap());
+        skipping.skip_beacon();
+        let built = building.beacon(Instant::from_millis(1));
+        assert_eq!(skipping.beacon_len(), built.wire_len());
+        let next = skipping.beacon(Instant::from_millis(2));
+        assert_eq!(next.seq, building.beacon(Instant::from_millis(2)).seq);
+        assert_eq!(next.seq, built.seq + 1);
     }
 }

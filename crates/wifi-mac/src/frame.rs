@@ -728,8 +728,6 @@ impl Frame {
     /// path. Kept in lockstep with [`Frame::encode`] by a property test
     /// (`wire_len() == encode().len()` over generated frames).
     pub fn wire_len(&self) -> usize {
-        // SSID information element: type byte, length byte, then the bytes.
-        let ssid_ie = |ssid: &Ssid| 2 + ssid.as_bytes().len();
         match &self.body {
             // Control frames carry short headers.
             FrameBody::PsPoll { .. } => 2 + 2 + 6 + 6, // FC, AID, BSSID, TA
@@ -738,13 +736,10 @@ impl Frame {
             // addresses, sequence control) plus the typed body.
             body => {
                 24 + match body {
-                    FrameBody::Beacon(b) | FrameBody::ProbeResp(b) => {
-                        // Timestamp, interval, capability, SSID IE, DS IE.
-                        8 + 2 + 2 + ssid_ie(&b.ssid) + 3
-                    }
-                    FrameBody::ProbeReq { ssid } => ssid_ie(ssid),
+                    FrameBody::Beacon(b) | FrameBody::ProbeResp(b) => beacon_body_len(&b.ssid),
+                    FrameBody::ProbeReq { ssid } => ssid_ie_len(ssid),
                     FrameBody::Auth(_) => 6,
-                    FrameBody::AssocReq(a) => 2 + 2 + ssid_ie(&a.ssid),
+                    FrameBody::AssocReq(a) => 2 + 2 + ssid_ie_len(&a.ssid),
                     FrameBody::AssocResp(_) => 6,
                     FrameBody::Disassoc { .. } | FrameBody::Deauth { .. } => 2,
                     FrameBody::Data(payload) => payload.len(),
@@ -754,6 +749,25 @@ impl Frame {
             }
         }
     }
+
+    /// The wire length of a beacon or probe response advertising `ssid`.
+    /// It depends on nothing else, so a beacon's airtime is known without
+    /// building the frame.
+    pub fn beacon_len(ssid: &Ssid) -> usize {
+        24 + beacon_body_len(ssid)
+    }
+}
+
+/// A beacon or probe-response body's length: timestamp, interval,
+/// capability, SSID IE, DS IE.
+fn beacon_body_len(ssid: &Ssid) -> usize {
+    8 + 2 + 2 + ssid_ie_len(ssid) + 3
+}
+
+/// An SSID information element's length: type byte, length byte, then the
+/// bytes.
+fn ssid_ie_len(ssid: &Ssid) -> usize {
+    2 + ssid.as_bytes().len()
 }
 
 fn take_addr(buf: &mut Reader<'_>) -> Result<MacAddr, FrameError> {

@@ -41,14 +41,22 @@ impl Default for RadioConfig {
 }
 
 impl RadioConfig {
+    /// The shortest switch latency [`RadioConfig::switch_latency`] ever
+    /// draws: 90% of the hardware reset, whatever the jitter.
+    pub fn min_switch_latency(&self) -> Duration {
+        Duration::from_secs_f64(self.reset.as_secs_f64() * 0.9)
+    }
+
     /// Draw one switch latency given `connected` associated interfaces.
     pub fn switch_latency(&self, connected: usize, rng: &mut Rng) -> Duration {
         let mean = self.reset.as_secs_f64() + connected as f64 * self.per_iface.as_secs_f64();
         let sigma = self.reset_jitter.as_secs_f64()
             + connected as f64 * self.per_iface_jitter.as_secs_f64();
         // Truncated normal: latency cannot undercut the hardware reset.
+        // Rounding to nanoseconds is monotone, so clamping after the
+        // conversion gives the same Duration as clamping the seconds.
         let drawn = rng.normal(mean, sigma);
-        Duration::from_secs_f64(drawn.max(self.reset.as_secs_f64() * 0.9))
+        Duration::from_secs_f64(drawn.max(0.0)).max(self.min_switch_latency())
     }
 }
 
@@ -94,6 +102,21 @@ impl Radio {
     /// True if the radio can exchange frames on `ch` at `now`.
     pub fn can_hear(&self, ch: Channel, now: Instant) -> bool {
         !self.is_busy(now) && self.channel == ch
+    }
+
+    /// Whether the radio, as it stands at `now`, might still hear `ch` at
+    /// `at >= now`. False means [`Radio::can_hear`]`(ch, at)` is false
+    /// whatever switches happen in `[now, at]`:
+    ///
+    /// * with no switch in between, the radio hears `ch` at `at` only if
+    ///   it is tuned there and done switching by then;
+    /// * [`Radio::switch_to`] is the only mutator, and a switch that
+    ///   changes the channel at some `t >= now` leaves the radio deaf
+    ///   until at least `t + min_switch_latency`, so after any switch it
+    ///   hears nothing before `now + min_switch_latency`.
+    pub fn may_hear(&self, ch: Channel, now: Instant, at: Instant) -> bool {
+        (self.channel == ch && at >= self.busy_until)
+            || at >= now + self.config.min_switch_latency()
     }
 
     /// Begin a switch to `to` at `now` with `connected` associated
@@ -157,6 +180,27 @@ mod tests {
             );
             prev_mean = s.mean();
         }
+    }
+
+    #[test]
+    fn switch_latency_never_undercuts_the_floor() {
+        // A jitter ten times the mean puts about half the raw draws below
+        // the floor and many below zero.
+        let cfg = RadioConfig {
+            reset_jitter: Duration::from_millis(50),
+            per_iface_jitter: Duration::from_millis(80),
+            ..RadioConfig::default()
+        };
+        let floor = cfg.min_switch_latency();
+        assert_eq!(floor, Duration::from_nanos(4_447_800));
+        let mut rng = Rng::new(7);
+        let mut at_floor = 0;
+        for i in 0..5_000 {
+            let latency = cfg.switch_latency(i % 5, &mut rng);
+            assert!(latency >= floor, "{latency} below the {floor} floor");
+            at_floor += usize::from(latency == floor);
+        }
+        assert!(at_floor > 1_000, "the clamp should bind often: {at_floor}");
     }
 
     #[test]

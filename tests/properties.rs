@@ -706,6 +706,143 @@ fn event_queue_reschedule_matches_eager_rearm_model() {
     });
 }
 
+/// FIFO lanes never change the pop order. Delays are drawn from a set
+/// that mixes the lane delays with arbitrary ones, so pushes and
+/// reschedules land in lanes and in the heap, and same-instant ties
+/// between the two are common. Every pop must match a sorted `(at, seq)`
+/// reference, where a reschedule takes a fresh sequence number as a push
+/// does, and the live count and non-draining peek must agree after every
+/// operation.
+#[test]
+fn event_queue_lanes_match_sorted_reference() {
+    check_with(
+        "event_queue_lanes_match_sorted_reference",
+        Config::cases(512),
+        |g| {
+            use spider_repro::engine::{EventId, EventQueue};
+            const LANES_MS: [u64; 3] = [10, 30, 100];
+            let ops = g.vec(1, 300, |g| {
+                let delay = if g.bool() {
+                    LANES_MS[g.usize_in(0, LANES_MS.len())]
+                } else {
+                    g.u64_in(0, 120)
+                };
+                (g.usize_in(0, 6), g.usize_in(0, 64), delay)
+            });
+            let mut q: EventQueue<u64> = EventQueue::new();
+            for ms in LANES_MS {
+                q.add_lane(Duration::from_millis(ms));
+            }
+            // Reference: live events as (time_ms, seq, payload, handle).
+            let mut model: Vec<(u64, u64, u64, EventId)> = Vec::new();
+            let mut seq = 0u64;
+            let mut now_ms = 0u64;
+            for (op, pick, delay) in ops {
+                let pick = pick % model.len().max(1);
+                match op {
+                    0 | 1 => {
+                        let at_ms = now_ms + delay;
+                        let id = q.push(Instant::from_millis(at_ms), seq);
+                        model.push((at_ms, seq, seq, id));
+                        seq += 1;
+                    }
+                    2 if !model.is_empty() => {
+                        q.cancel(model.swap_remove(pick).3);
+                    }
+                    3 | 4 if !model.is_empty() => {
+                        // 3: to `now + delay`, earlier or later; 4: always later.
+                        let e = &mut model[pick];
+                        let at_ms = if op == 3 { now_ms + delay } else { e.0 + delay };
+                        let moved = q.reschedule(e.3, Instant::from_millis(at_ms));
+                        prop_assert!(moved.is_some(), "a live event must move");
+                        *e = (at_ms, seq, e.2, moved.unwrap_or(e.3));
+                        seq += 1;
+                    }
+                    _ => {
+                        let expected = model
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|(_, e)| (e.0, e.1))
+                            .map(|(i, e)| (i, *e));
+                        match (expected, q.pop()) {
+                            (None, None) => {}
+                            (Some((i, e)), Some((at, payload))) => {
+                                prop_assert_eq!((at, payload), (Instant::from_millis(e.0), e.2));
+                                now_ms = e.0;
+                                model.swap_remove(i);
+                            }
+                            (e, got) => return Err(format!("model {e:?} vs queue {got:?}")),
+                        }
+                    }
+                }
+                prop_assert_eq!(q.live_len(), model.len());
+                let next = model.iter().map(|e| e.0).min().map(Instant::from_millis);
+                prop_assert_eq!(q.next_live_time(), next);
+            }
+            Ok(())
+        },
+    );
+}
+
+/// `Radio::may_hear` is sound: when it says a radio cannot hear `ch` at
+/// `at`, no sequence of switches in `[now, at]` makes `can_hear(ch, at)`
+/// true. The world relies on this to drop beacon listeners before queueing
+/// the beacon. Radio configs, channel histories and switch times are all
+/// random. The tightest case is a switch at `now` whose latency clamps to
+/// the floor, so `at` often lands on or within a millisecond of
+/// `now + min_switch_latency` and the first switch often starts at `now`.
+#[test]
+fn radio_may_hear_is_sound() {
+    check_with("radio_may_hear_is_sound", Config::cases(1024), |g| {
+        use spider_repro::wifi::{Radio, RadioConfig};
+        const CHANNELS: [Channel; 3] = [Channel::CH1, Channel::CH6, Channel::CH11];
+        let micros = |g: &mut Gen, hi: u64| Duration::from_micros(g.u64_in(0, hi));
+        let config = RadioConfig {
+            reset: micros(g, 10_000),
+            reset_jitter: micros(g, 5_000),
+            per_iface: micros(g, 1_000),
+            per_iface_jitter: micros(g, 3_000),
+        };
+        let floor = config.min_switch_latency();
+        let mut rng = Rng::new(g.u64());
+        let mut radio = Radio::new(config, CHANNELS[g.usize_in(0, 3)]);
+        // A history of switches up to `now` leaves the radio on some
+        // channel, possibly still mid-switch.
+        let mut now = Instant::ZERO;
+        for _ in 0..g.usize_in(0, 4) {
+            now += micros(g, 8_000);
+            let to = CHANNELS[g.usize_in(0, 3)];
+            radio.switch_to(to, now, g.usize_in(0, 4), &mut rng);
+        }
+        now += micros(g, 8_000);
+        let ch = CHANNELS[g.usize_in(0, 3)];
+        let at = now
+            + match g.usize_in(0, 4) {
+                0 => floor + Duration::from_nanos(g.u64_in(0, 2)),
+                1 => floor + micros(g, 1_000),
+                2 => floor.saturating_sub(micros(g, 1_000)),
+                _ => micros(g, 20_000),
+            };
+        let may = radio.may_hear(ch, now, at);
+        // Switches at ascending times in [now, at].
+        let mut t = now;
+        for _ in 0..g.usize_in(0, 4) {
+            if g.bool() {
+                t += Duration::from_micros(g.u64_in(0, at.since(t).as_micros() + 1));
+            }
+            let to = CHANNELS[g.usize_in(0, 3)];
+            radio.switch_to(to, t, g.usize_in(0, 4), &mut rng);
+        }
+        if !may {
+            prop_assert!(
+                !radio.can_hear(ch, at),
+                "may_hear said no, but {ch:?} is heard at {at} (now {now})"
+            );
+        }
+        Ok(())
+    });
+}
+
 /// TCP end-to-end over a pipe with random loss, reordering, and delay: the
 /// receiver must deliver every payload byte exactly once (no gaps, no
 /// duplicates reach the application), and the transfer completes.
