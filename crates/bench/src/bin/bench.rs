@@ -14,7 +14,8 @@
 //! ```
 //!
 //! Exit codes: `0` ok / no regression, `1` could not run (bad args,
-//! unknown suite, unreadable baseline — always a CI failure), `2`
+//! unknown suite, unreadable baseline, a compare run whose filter
+//! matched no bench — always a CI failure), `2`
 //! regression confirmed at the configured confidence (gates CI), `3`
 //! measurement inconclusive (noisy machine; report, don't gate).
 //!

@@ -19,18 +19,20 @@
 //!   fabricating a pass or a regression.
 //!
 //! Exit codes from [`Harness::finish`] (callers `std::process::exit`
-//! with the return value): `0` no regression, `2` regression confirmed
-//! at the configured confidence, `3` measurement inconclusive. ci.sh
-//! gates on `2`, reports `3`, and treats anything else as a harness
-//! failure.
+//! with the return value): `0` no regression, `1` a compare run that
+//! measured no bench, `2` regression confirmed at the configured
+//! confidence, `3` measurement inconclusive. ci.sh gates on `2`, reports
+//! `3`, and treats anything else as a harness failure.
 //!
 //! CLI (works both under `cargo bench -- <args>` and the `bench` bin):
-//! the first bare argument is a substring filter on bench names;
+//! one bare argument, a substring filter on bench names;
 //! `--budget-ms N`, `--compare <path>`, `--capture <path>` (write a
 //! sample-bearing artifact usable as a committed baseline), `--json
 //! <path>`, `--confidence <pct>`, `--min-effect <pct>`, `--resamples N`,
 //! `--trajectory <path>` (append one JSONL line per bench), `--commit
-//! <label>`. Environment defaults: `SPIDER_BENCH_BUDGET_MS`,
+//! <label>`, and `--bench`, which cargo passes to `harness = false`
+//! targets and is ignored. Any other flag, or a second bare argument,
+//! is an error. Environment defaults: `SPIDER_BENCH_BUDGET_MS`,
 //! `SPIDER_BENCH_JSON`, `SPIDER_BENCH_TRAJECTORY`, `SPIDER_BENCH_COMMIT`.
 
 use std::hint::black_box;
@@ -129,8 +131,7 @@ impl Options {
         opts
     }
 
-    /// Layer CLI arguments on top. Unknown `--flags` are ignored (cargo
-    /// passes its own); the first bare argument is the name filter.
+    /// Layer CLI arguments on top (the flags are in the module docs).
     pub fn apply_args(&mut self, args: impl Iterator<Item = String>) -> Result<(), String> {
         let mut args = args.peekable();
         while let Some(arg) = args.next() {
@@ -176,11 +177,13 @@ impl Options {
                 }
                 "--trajectory" => self.trajectory = Some(PathBuf::from(value_for("--trajectory")?)),
                 "--commit" => self.commit = Some(value_for("--commit")?),
-                other if other.starts_with('-') => {} // cargo's own flags
+                "--bench" => {}
+                other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
                 bare => {
-                    if self.filter.is_none() {
-                        self.filter = Some(bare.to_string());
+                    if let Some(filter) = &self.filter {
+                        return Err(format!("two filters: {filter:?} and {bare:?}"));
                     }
+                    self.filter = Some(bare.to_string());
                 }
             }
         }
@@ -548,10 +551,10 @@ impl Harness {
     }
 
     /// Print the final summary, write the JSON artifact and trajectory
-    /// lines, and return the process exit code: `0` clean,
-    /// [`EXIT_REGRESSION`] when any bench regressed,
-    /// [`EXIT_INCONCLUSIVE`] when the worst outcome was an inconclusive
-    /// measurement. Callers pass the value to `std::process::exit`.
+    /// lines, and return the process exit code: `0` clean, `1` when a
+    /// compare run measured no bench, [`EXIT_REGRESSION`] when any bench
+    /// regressed, [`EXIT_INCONCLUSIVE`] when the worst outcome was an
+    /// inconclusive measurement. Callers pass the value to `std::process::exit`.
     #[must_use = "pass the exit code to std::process::exit"]
     pub fn finish(self) -> i32 {
         if self.ran == 0 {
@@ -588,6 +591,10 @@ impl Harness {
         if !self.compare_mode() {
             println!("done ({} benches)", self.ran);
             return 0;
+        }
+        if self.ran == 0 {
+            eprintln!("{}: compare run measured no bench (exit 1)", self.target);
+            return 1;
         }
 
         // Benches present in the baseline but never measured (filtered
@@ -988,6 +995,18 @@ mod tests {
     }
 
     #[test]
+    fn compare_mode_run_that_measured_nothing_exits_1() {
+        let mut h = test_harness(30, Some("matches-nothing"));
+        h.baseline = Some(baseline_of(&synth(1, 40, 1000.0, 0.02)));
+        h.bench("workload", || 1u64);
+        assert_eq!(h.ran, 0);
+        assert_eq!(h.finish(), 1);
+        // Outside compare mode an empty run is not an error.
+        let h = test_harness(30, Some("matches-nothing"));
+        assert_eq!(h.finish(), 0);
+    }
+
+    #[test]
     fn compare_mode_new_bench_is_not_gated() {
         let mut h = test_harness(30, None);
         h.opts.min_effect = 0.05;
@@ -1017,7 +1036,7 @@ mod tests {
                 "abc123",
                 "--trajectory",
                 "traj.jsonl",
-                "--bench", // cargo's own flag: ignored
+                "--bench", // cargo's flag for harness = false targets: ignored
                 "fig5",
             ]
             .iter()
@@ -1043,6 +1062,9 @@ mod tests {
             &["--confidence", "12"],
             &["--min-effect", "-3"],
             &["--resamples", "3"],
+            &["--compar", "base.json"],
+            &["--nocapture"],
+            &["fig5", "base.json"],
         ] {
             let mut opts = Options::default();
             assert!(

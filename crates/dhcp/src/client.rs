@@ -84,13 +84,13 @@ impl Lease {
 pub enum DhcpAction {
     /// Transmit this message toward the AP's DHCP server.
     Send(DhcpMessage),
-    /// Arm the retransmit timer; call [`DhcpClient::handle_timer`] with
-    /// `token` after `after`. Stale tokens are ignored by the machine.
+    /// Arm the retransmit timer: call [`DhcpClient::handle_timer`] once
+    /// `after` elapses. The caller keeps at most one expiry queued per
+    /// machine, and a re-arm replaces it; an expiry while no acquisition
+    /// is in flight is ignored.
     ArmTimer {
         /// Delay until expiry.
         after: Duration,
-        /// Generation token.
-        token: u64,
     },
     /// Acquisition succeeded.
     Bound(Lease),
@@ -125,7 +125,6 @@ pub struct DhcpClient {
     chaddr: [u8; 6],
     state: State,
     xid: u32,
-    timer_gen: u64,
     attempt_started: Option<Instant>,
     cooldown_until: Instant,
     lease: Option<Lease>,
@@ -140,7 +139,6 @@ impl DhcpClient {
             chaddr,
             state: State::Idle,
             xid: xid_seed,
-            timer_gen: 0,
             attempt_started: None,
             cooldown_until: Instant::ZERO,
             lease: None,
@@ -184,11 +182,9 @@ impl DhcpClient {
         self.xid
     }
 
-    fn arm(&mut self) -> DhcpAction {
-        self.timer_gen += 1;
+    fn arm(&self) -> DhcpAction {
         DhcpAction::ArmTimer {
             after: self.config.retx_timeout,
-            token: self.timer_gen,
         }
     }
 
@@ -250,19 +246,8 @@ impl DhcpClient {
             _ => Vec::new(),
         };
         self.state = State::Idle;
-        self.timer_gen += 1;
         self.attempt_started = None;
         out
-    }
-
-    /// Abandon any in-flight acquisition without the failure cooldown
-    /// (e.g. the AP left range; there is no point penalizing ourselves).
-    pub fn abort(&mut self) {
-        if self.is_acquiring() {
-            self.state = State::Idle;
-            self.timer_gen += 1;
-            self.attempt_started = None;
-        }
     }
 
     /// Feed a received DHCP message at `now`.
@@ -291,7 +276,6 @@ impl DhcpClient {
                 };
                 self.lease = Some(lease);
                 self.state = State::Bound;
-                self.timer_gen += 1;
                 vec![DhcpAction::Bound(lease)]
             }
             (State::Rebooting { .. }, MessageType::Nak) => {
@@ -307,13 +291,14 @@ impl DhcpClient {
         }
     }
 
-    /// Feed a retransmit-timer expiry. Stale tokens are ignored.
-    pub fn handle_timer(&mut self, token: u64, now: Instant) -> Vec<DhcpAction> {
-        if token != self.timer_gen || !self.is_acquiring() {
+    /// Feed the expiry, at `now`, of the timer last armed. Ignored unless
+    /// an acquisition is in flight.
+    pub fn handle_timer(&mut self, now: Instant) -> Vec<DhcpAction> {
+        if !self.is_acquiring() {
             return Vec::new();
         }
         // `is_acquiring()` implies an attempt start was recorded; if the
-        // state machine ever breaks that, treat the timer as stale.
+        // state machine ever breaks that, ignore the expiry.
         let Some(started) = self.attempt_started else {
             return Vec::new();
         };
@@ -339,7 +324,6 @@ impl DhcpClient {
 
     fn fail(&mut self, now: Instant) -> Vec<DhcpAction> {
         self.state = State::Failed;
-        self.timer_gen += 1;
         self.attempt_started = None;
         self.cooldown_until = now + self.config.idle_after_fail;
         vec![DhcpAction::Failed]
@@ -451,24 +435,18 @@ mod tests {
         let mut c = client(cfg);
         let t0 = Instant::ZERO;
         let acts = c.start(t0, None);
-        let mut token = match acts[1] {
-            DhcpAction::ArmTimer { token, .. } => token,
-            _ => panic!(),
-        };
+        assert!(matches!(acts[1], DhcpAction::ArmTimer { .. }));
         let mut now = t0;
         let mut retransmits = 0;
         loop {
             now += Duration::from_secs(1);
-            let acts = c.handle_timer(token, now);
+            let acts = c.handle_timer(now);
             match &acts[0] {
                 DhcpAction::Send(m) => {
                     assert_eq!(m.msg_type, MessageType::Discover);
                     assert_eq!(m.secs as u64, now.as_nanos() / 1_000_000_000);
                     retransmits += 1;
-                    token = match acts[1] {
-                        DhcpAction::ArmTimer { token, .. } => token,
-                        _ => panic!(),
-                    };
+                    assert!(matches!(acts[1], DhcpAction::ArmTimer { .. }));
                 }
                 DhcpAction::Failed => break,
                 other => panic!("{other:?}"),
@@ -485,9 +463,9 @@ mod tests {
         c.start(Instant::ZERO, None);
         // Force failure via timer expiries.
         let mut now = Instant::ZERO;
-        for token in 1..=3 {
+        for _ in 1..=3 {
             now += Duration::from_secs(1);
-            c.handle_timer(token, now);
+            c.handle_timer(now);
         }
         c.start(now + Duration::from_secs(1), None); // < 60 s cooldown
     }
@@ -497,17 +475,16 @@ mod tests {
         let mut c = client(DhcpClientConfig::reduced(Duration::from_millis(100)));
         c.start(Instant::ZERO, None);
         let mut now = Instant::ZERO;
-        let mut token = 1;
         loop {
             now += Duration::from_millis(100);
-            let acts = c.handle_timer(token, now);
+            let acts = c.handle_timer(now);
             if matches!(acts.first(), Some(DhcpAction::Failed)) {
                 break;
             }
-            token = match acts.get(1) {
-                Some(DhcpAction::ArmTimer { token, .. }) => *token,
-                _ => panic!("expected rearm"),
-            };
+            assert!(
+                matches!(acts.get(1), Some(DhcpAction::ArmTimer { .. })),
+                "expected rearm"
+            );
         }
         // May restart immediately.
         let acts = c.start(now, None);
@@ -524,7 +501,7 @@ mod tests {
         let ack = DhcpMessage::ack(xid, CH, IP, SRV, 60);
         c.handle_message(&ack, Instant::from_millis(20));
         // Original discover timer fires late: nothing happens.
-        assert!(c.handle_timer(1, Instant::from_secs(1)).is_empty());
+        assert!(c.handle_timer(Instant::from_secs(1)).is_empty());
         assert!(c.is_bound());
     }
 
@@ -552,17 +529,6 @@ mod tests {
         assert!(matches!(&acts[0], DhcpAction::Send(m) if m.msg_type == MessageType::Release));
         assert!(!c.is_bound());
         assert!(c.lease().is_none());
-    }
-
-    #[test]
-    fn abort_skips_cooldown() {
-        let mut c = client(DhcpClientConfig::default());
-        c.start(Instant::ZERO, None);
-        c.abort();
-        assert!(!c.is_acquiring());
-        // Immediately restartable — no cooldown from an abort.
-        let acts = c.start(Instant::from_millis(1), None);
-        assert!(!acts.is_empty());
     }
 
     #[test]

@@ -26,6 +26,9 @@
 //! target replays from cache with byte-identical output. `--workers N`
 //! caps the worker pool (default: all cores); progress/ETA lines go to
 //! stderr, figure text to stdout.
+//!
+//! Each setting may be given once (`--cache-dir` and `--no-cache` are
+//! one setting); a repeat, like a bad value, is a usage error (exit 2).
 
 mod common;
 mod eval_figs;
@@ -57,9 +60,22 @@ fn main() {
         factor: 1,
         seed: DEFAULT_SEED,
     };
+    let mut given: Vec<(&str, &str)> = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let arg = args[i].as_str();
+        let setting = match arg {
+            "--no-cache" => "--cache-dir",
+            t if !t.starts_with('-') => "target",
+            flag => flag,
+        };
+        if let Some((_, prev)) = given.iter().find(|(s, _)| *s == setting) {
+            usage(&format!(
+                "{arg} after {prev}: each setting may be given once"
+            ));
+        }
+        given.push((setting, arg));
+        match arg {
             "--seed" => {
                 i += 1;
                 scale.seed = args

@@ -38,10 +38,10 @@ pub(super) struct ApNode {
 struct ServerConn {
     conn: u64,
     sender: BulkSender,
-    /// The queued `SenderTimer` event and the token it will deliver. Each
-    /// re-arm moves this event instead of queueing another, so at most
-    /// one RTO event per connection is ever in the queue.
-    rto: Option<(EventId, u64)>,
+    /// The queued `SenderTimer` event. Each re-arm moves it instead of
+    /// queueing another, and removing the connection cancels it, so only
+    /// the current arm ever fires.
+    rto: Option<EventId>,
 }
 
 impl ApNode {
@@ -65,7 +65,11 @@ impl ApNode {
         self.senders.iter_mut().find(|c| c.conn == conn)
     }
 
-    pub(super) fn remove_sender(&mut self, conn: u64) {
+    /// Drop connection `conn` and cancel its queued RTO.
+    pub(super) fn remove_sender(&mut self, conn: u64, sched: &mut Sched) {
+        if let Some(id) = self.conn_mut(conn).and_then(|c| c.rto) {
+            sched.queue.cancel(id);
+        }
         // `retain` keeps the remaining connections in id order.
         self.senders.retain(|c| c.conn != conn);
     }
@@ -74,8 +78,8 @@ impl ApNode {
 /// Events of the AP, backhaul and content-server layer.
 #[derive(Debug)]
 pub(super) enum ApEvent {
-    /// TCP sender RTO at the content server behind AP `ap`; the token it
-    /// delivers is the connection's latest (see `ServerConn::rto`).
+    /// TCP sender RTO at the content server behind AP `ap`, the one
+    /// queued timer of connection `conn` (see `ServerConn::rto`).
     SenderTimer { ap: usize, conn: u64 },
     /// A TCP segment from the server arrives at AP `ap`.
     FromServer { ap: usize, payload: Bytes },
@@ -96,12 +100,12 @@ impl World {
         match event {
             ApEvent::SenderTimer { ap, conn } => {
                 // The event has fired: the next arm queues a fresh one.
-                let Some((_, token)) = self.aps[ap].conn_mut(conn).and_then(|c| c.rto.take())
-                else {
+                let Some(c) = self.aps[ap].conn_mut(conn) else {
                     return;
                 };
+                c.rto = None;
                 let rto = self.with_sender(ap, conn, sched, |sender, out| {
-                    sender.on_timer_into(token, now, out);
+                    sender.on_timer_into(now, out);
                     out.iter().any(|a| matches!(a, SenderAction::Transmit(_)))
                 });
                 if rto == Some(true) {
@@ -233,17 +237,16 @@ impl World {
                         sched.at(arrival, ApEvent::FromServer { ap, payload });
                     }
                 }
-                SenderAction::ArmTimer { after, token } => {
+                SenderAction::ArmTimer { after } => {
                     let Some(c) = self.aps[ap].conn_mut(conn) else {
                         continue;
                     };
                     let timer = ApEvent::SenderTimer { ap, conn };
-                    let id = sched.rearm(c.rto.map(|(id, _)| id), after, timer);
-                    c.rto = Some((id, token));
+                    c.rto = Some(sched.rearm(c.rto, after, timer));
                 }
                 SenderAction::Connected => {}
                 done @ (SenderAction::Complete | SenderAction::Aborted) => {
-                    self.aps[ap].remove_sender(conn);
+                    self.aps[ap].remove_sender(conn, sched);
                     let Some((client, iface)) = self.conn_owner(conn) else {
                         continue;
                     };

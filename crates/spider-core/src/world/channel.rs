@@ -152,7 +152,7 @@ impl World {
         if best.0 != current && best.1 > current_score * 1.25 + 0.25 {
             for idx in 0..self.clients[client].ifaces.len() {
                 if self.clients[client].ifaces[idx].state != IfaceState::Idle {
-                    self.teardown_iface(client, idx, now);
+                    self.teardown_iface(client, idx, sched);
                 }
             }
             let node = &mut self.clients[client];

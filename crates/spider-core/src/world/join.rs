@@ -4,6 +4,7 @@
 
 use dhcp::client::{DhcpAction, DhcpClient, Lease};
 use dhcp::message::DhcpMessage;
+use sim_engine::queue::EventId;
 use sim_engine::time::{Duration, Instant};
 use sim_engine::wire::Writer;
 use tcp_lite::connection::{BulkReceiver, ReceiverAction};
@@ -29,9 +30,11 @@ pub(super) enum IfaceState {
 pub(super) struct Iface {
     pub(super) addr: MacAddr,
     pub(super) state: IfaceState,
-    /// Bumped whenever the interface is re-purposed; a timer armed under
-    /// an older generation is stale and dropped.
-    gen: u64,
+    /// The interface's one queued timer event and what it does when it
+    /// fires. A re-arm moves the event and replaces what it does, and
+    /// re-purposing the interface cancels it, so only the current arm
+    /// ever fires.
+    timer: Option<(EventId, IfaceTimer)>,
     mac: Option<ClientMac>,
     dhcp: Option<DhcpClient>,
     pub(super) receiver: Option<BulkReceiver>,
@@ -45,7 +48,7 @@ impl Iface {
         Iface {
             addr,
             state: IfaceState::Idle,
-            gen: 0,
+            timer: None,
             mac: None,
             dhcp: None,
             receiver: None,
@@ -55,23 +58,26 @@ impl Iface {
         }
     }
 
-    /// Back to Idle in a new generation, keeping only the address.
-    fn reset(&mut self) {
-        let gen = self.gen + 1;
-        *self = Iface {
-            gen,
-            ..Iface::new(self.addr)
-        };
+    /// Back to Idle, keeping only the address; the queued timer is
+    /// cancelled.
+    fn reset(&mut self, sched: &mut Sched) {
+        self.cancel_timer(sched);
+        *self = Iface::new(self.addr);
+    }
+
+    fn cancel_timer(&mut self, sched: &mut Sched) {
+        if let Some((id, _)) = self.timer.take() {
+            sched.queue.cancel(id);
+        }
     }
 }
 
 /// What an interface timer does when it fires.
-#[derive(Debug)]
 pub(super) enum IfaceTimer {
-    /// The link-layer join FSM's timer `token`.
-    Mac(u64),
-    /// The DHCP client's retransmit timer `token`.
-    Dhcp(u64),
+    /// The link-layer join FSM's response timer.
+    Mac,
+    /// The DHCP client's retransmit timer.
+    Dhcp,
     /// A segmented download's think time elapsed: open the next object
     /// from AP `ap`.
     NextObject { ap: usize },
@@ -83,13 +89,9 @@ pub(super) enum IfaceTimer {
 /// Events of the join layer.
 #[derive(Debug)]
 pub(super) enum JoinEvent {
-    /// A timer of interface `iface`, armed in generation `gen`.
-    IfaceTimer {
-        client: usize,
-        iface: usize,
-        gen: u64,
-        timer: IfaceTimer,
-    },
+    /// The one queued timer of interface `iface`; what it does is kept
+    /// with its handle (see `Iface::timer`).
+    IfaceTimer { client: usize, iface: usize },
     /// Periodic driver evaluation: teardown dead links, start joins.
     Evaluate { client: usize },
 }
@@ -97,31 +99,25 @@ pub(super) enum JoinEvent {
 impl World {
     pub(super) fn handle_join(&mut self, event: JoinEvent, sched: &mut Sched) {
         let now = sched.now;
-        let (client, iface, timer) = match event {
+        let (client, iface) = match event {
             JoinEvent::Evaluate { client } => return self.evaluate(client, sched),
-            JoinEvent::IfaceTimer {
-                client,
-                iface,
-                gen,
-                timer,
-            } => {
-                if self.clients[client].ifaces[iface].gen != gen {
-                    return;
-                }
-                (client, iface, timer)
-            }
+            JoinEvent::IfaceTimer { client, iface } => (client, iface),
         };
         let slot = &mut self.clients[client].ifaces[iface];
+        // The event has fired: the next arm queues a fresh one.
+        let Some((_, timer)) = slot.timer.take() else {
+            return;
+        };
         match timer {
-            IfaceTimer::Mac(token) => {
+            IfaceTimer::Mac => {
                 if let Some(mac) = slot.mac.as_mut() {
-                    let actions = mac.handle_timer(token);
+                    let actions = mac.handle_timer();
                     self.process_mac_actions(client, iface, actions, sched);
                 }
             }
-            IfaceTimer::Dhcp(token) => {
+            IfaceTimer::Dhcp => {
                 if let Some(dhcp) = slot.dhcp.as_mut() {
-                    let actions = dhcp.handle_timer(token, now);
+                    let actions = dhcp.handle_timer(now);
                     self.process_dhcp_actions(client, iface, actions, sched);
                 }
             }
@@ -139,30 +135,26 @@ impl World {
                 if fresh {
                     self.start_join(client, iface, ap, sched);
                 } else {
-                    self.teardown_iface(client, iface, now);
+                    self.teardown_iface(client, iface, sched);
                 }
             }
         }
     }
 
-    /// Arm `timer` to fire `after` from now for interface `iface` in its
-    /// current generation.
+    /// Arm `timer` to fire `after` from now for interface `iface`,
+    /// replacing its queued timer if it has one.
     pub(super) fn arm_iface_timer(
-        &self,
+        &mut self,
         client: usize,
         iface: usize,
         after: Duration,
         timer: IfaceTimer,
         sched: &mut Sched,
     ) {
-        let gen = self.clients[client].ifaces[iface].gen;
-        let event = JoinEvent::IfaceTimer {
-            client,
-            iface,
-            gen,
-            timer,
-        };
-        sched.after(after, event);
+        let slot = &mut self.clients[client].ifaces[iface];
+        let queued = slot.timer.as_ref().map(|&(id, _)| id);
+        let id = sched.rearm(queued, after, JoinEvent::IfaceTimer { client, iface });
+        slot.timer = Some((id, timer));
     }
 
     /// A client's scan-table entry for `bssid`, if it has heard that AP.
@@ -248,13 +240,13 @@ impl World {
                         self.client_send(client, ap, frame, sched);
                     }
                 }
-                MacAction::ArmTimer { after, token } => {
-                    self.arm_iface_timer(client, iface, after, IfaceTimer::Mac(token), sched)
+                MacAction::ArmTimer { after } => {
+                    self.arm_iface_timer(client, iface, after, IfaceTimer::Mac, sched)
                 }
                 MacAction::Joined { .. } => self.on_associated(client, iface, sched),
                 MacAction::Failed(_) => {
                     self.metrics.assoc_failures += 1;
-                    self.join_failed(client, iface, sched.now);
+                    self.join_failed(client, iface, sched);
                 }
             }
         }
@@ -306,8 +298,8 @@ impl World {
                 DhcpAction::Send(msg) => {
                     self.send_uplink(client, iface, PROTO_UDP, |w| msg.encode_into(w), sched)
                 }
-                DhcpAction::ArmTimer { after, token } => {
-                    self.arm_iface_timer(client, iface, after, IfaceTimer::Dhcp(token), sched)
+                DhcpAction::ArmTimer { after } => {
+                    self.arm_iface_timer(client, iface, after, IfaceTimer::Dhcp, sched)
                 }
                 DhcpAction::Bound(lease) => self.on_bound(client, iface, lease, sched),
                 DhcpAction::Failed => {
@@ -316,7 +308,7 @@ impl World {
                     node.dhcp_idle_until = node
                         .dhcp_idle_until
                         .max(now + self.cfg.spider.dhcp.idle_after_fail);
-                    self.join_failed(client, iface, now);
+                    self.join_failed(client, iface, sched);
                 }
             }
         }
@@ -324,12 +316,13 @@ impl World {
 
     /// A join failed at the MAC or DHCP stage: charge it to the AP's
     /// history and free the interface.
-    fn join_failed(&mut self, client: usize, iface: usize, now: Instant) {
-        if let Some(ap) = self.clients[client].ifaces[iface].ap {
-            let bssid = self.aps[ap].mac.bssid();
-            self.clients[client].history.record_failure(bssid, now);
+    fn join_failed(&mut self, client: usize, iface: usize, sched: &mut Sched) {
+        let node = &mut self.clients[client];
+        if let Some(ap) = node.ifaces[iface].ap {
+            node.history
+                .record_failure(self.aps[ap].mac.bssid(), sched.now);
         }
-        self.teardown_iface(client, iface, now);
+        self.teardown_iface(client, iface, sched);
     }
 
     fn on_bound(&mut self, client: usize, iface: usize, lease: Lease, sched: &mut Sched) {
@@ -363,17 +356,13 @@ impl World {
         self.metrics.record_concurrency(now, connected);
     }
 
-    pub(super) fn teardown_iface(&mut self, client: usize, iface: usize, now: Instant) {
+    pub(super) fn teardown_iface(&mut self, client: usize, iface: usize, sched: &mut Sched) {
         let slot = &mut self.clients[client].ifaces[iface];
         if let (Some(ap), Some(conn)) = (slot.ap, slot.conn) {
-            self.aps[ap].remove_sender(conn);
+            self.aps[ap].remove_sender(conn, sched);
         }
-        let slot = &mut self.clients[client].ifaces[iface];
-        if let Some(dhcp) = slot.dhcp.as_mut() {
-            dhcp.abort();
-        }
-        slot.reset();
-        self.update_concurrency(now);
+        self.clients[client].ifaces[iface].reset(sched);
+        self.update_concurrency(sched.now);
     }
 
     fn on_client_segment(&mut self, client: usize, iface: usize, seg: Segment, sched: &mut Sched) {
@@ -414,7 +403,7 @@ impl World {
                 .candidate_for(client, bssid)
                 .is_some_and(|c| now.saturating_since(c.last_heard) <= loss_timeout);
             if !heard_recently {
-                self.teardown_iface(client, idx, now);
+                self.teardown_iface(client, idx, sched);
             }
         }
         // 2. Start joins on the current channel.
@@ -511,7 +500,7 @@ impl World {
             } else {
                 // Reserve the interface and defer the handshake by the
                 // scan/supplicant setup time (the stock path).
-                self.begin_associating(client, idx, ap, now);
+                self.begin_associating(client, idx, ap, sched);
                 let timer = IfaceTimer::BeginJoin { ap };
                 self.arm_iface_timer(client, idx, setup, timer, sched);
             }
@@ -520,20 +509,20 @@ impl World {
         started
     }
 
-    /// Point interface `iface` at AP `ap` and start its join clock, in a
-    /// new generation.
+    /// Point interface `iface` at AP `ap`, start its join clock and
+    /// cancel its queued timer.
     fn begin_associating(
         &mut self,
         client: usize,
         iface: usize,
         ap: usize,
-        now: Instant,
+        sched: &mut Sched,
     ) -> &mut Iface {
         let slot = &mut self.clients[client].ifaces[iface];
+        slot.cancel_timer(sched);
         slot.state = IfaceState::Associating;
-        slot.gen += 1;
         slot.ap = Some(ap);
-        slot.join_started = Some(now);
+        slot.join_started = Some(sched.now);
         slot
     }
 
@@ -553,7 +542,7 @@ impl World {
         let mut mac = ClientMac::new(station, bssid, ssid, join_cfg);
         self.metrics.assoc_attempts += 1;
         let actions = mac.start(now);
-        self.begin_associating(client, iface, ap, now).mac = Some(mac);
+        self.begin_associating(client, iface, ap, sched).mac = Some(mac);
         self.process_mac_actions(client, iface, actions, sched);
     }
 }

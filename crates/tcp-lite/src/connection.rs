@@ -52,18 +52,13 @@ impl Default for TcpConfig {
 pub enum SenderAction {
     /// Put this segment on the wire toward the receiver.
     Transmit(Segment),
-    /// Arm the retransmission timer; deliver `token` back via
-    /// [`BulkSender::on_timer`] after `after`. Newer tokens supersede.
-    ///
-    /// The world keeps one queued timer event per connection and moves it
-    /// on every arm, so only the newest token is ever delivered there.
-    /// `on_timer` still ignores stale tokens: that check is the state
-    /// machine's own guard, whatever the caller does with its timers.
+    /// Arm the retransmission timer: call [`BulkSender::on_timer`] once
+    /// `after` elapses. The caller keeps at most one expiry queued per
+    /// machine, and a re-arm replaces it; an expiry before the start or
+    /// after the end of the connection is ignored.
     ArmTimer {
         /// Delay until expiry.
         after: Duration,
-        /// Generation token.
-        token: u64,
     },
     /// The handshake completed.
     Connected,
@@ -99,7 +94,6 @@ pub struct BulkSender {
     /// Sequence number just past the final payload byte.
     data_end: SeqNum,
     total_bytes: u64,
-    timer_gen: u64,
     timeouts_in_a_row: u32,
     total_timeouts: u64,
     fast_retransmits: u64,
@@ -136,7 +130,6 @@ impl BulkSender {
             snd_nxt: isn,
             data_end: isn + 1 + (total_bytes.min(u32::MAX as u64 / 2) as u32),
             total_bytes,
-            timer_gen: 0,
             timeouts_in_a_row: 0,
             total_timeouts: 0,
             fast_retransmits: 0,
@@ -194,11 +187,9 @@ impl BulkSender {
         self.flight()
     }
 
-    fn arm(&mut self) -> SenderAction {
-        self.timer_gen += 1;
+    fn arm(&self) -> SenderAction {
         SenderAction::ArmTimer {
             after: self.rtt.rto(),
-            token: self.timer_gen,
         }
     }
 
@@ -469,7 +460,6 @@ impl BulkSender {
                     if self.snd_una == self.data_end + 1 {
                         // FIN acknowledged: everything delivered.
                         self.state = SenderState::Done;
-                        self.timer_gen += 1; // disarm
                         out.push(SenderAction::Complete);
                         return;
                     }
@@ -514,22 +504,21 @@ impl BulkSender {
         }
     }
 
-    /// Feed a retransmission-timer expiry. Stale tokens are ignored.
-    pub fn on_timer(&mut self, token: u64, now: Instant) -> Vec<SenderAction> {
+    /// Feed the expiry, at `now`, of the retransmission timer last armed.
+    /// Ignored before the start and after the end of the connection.
+    pub fn on_timer(&mut self, now: Instant) -> Vec<SenderAction> {
         let mut out = Vec::new();
-        self.on_timer_into(token, now, &mut out);
+        self.on_timer_into(now, &mut out);
         out
     }
 
     /// [`Self::on_timer`], pushing actions into a caller-owned buffer
     /// (see [`Self::on_segment_into`]).
-    pub fn on_timer_into(&mut self, token: u64, now: Instant, out: &mut Vec<SenderAction>) {
-        if token != self.timer_gen
-            || matches!(
-                self.state,
-                SenderState::Closed | SenderState::Done | SenderState::Aborted
-            )
-        {
+    pub fn on_timer_into(&mut self, now: Instant, out: &mut Vec<SenderAction>) {
+        if matches!(
+            self.state,
+            SenderState::Closed | SenderState::Done | SenderState::Aborted
+        ) {
             return;
         }
         if self.flight() == 0 {
@@ -541,7 +530,6 @@ impl BulkSender {
         self.total_timeouts += 1;
         if self.timeouts_in_a_row > self.config.max_timeouts {
             self.state = SenderState::Aborted;
-            self.timer_gen += 1;
             out.push(SenderAction::Aborted);
             return;
         }
@@ -868,11 +856,8 @@ mod tests {
     fn syn_timeout_retransmits_syn() {
         let mut s = BulkSender::new(TcpConfig::default(), 1, 1000, 1);
         let acts = s.start(Instant::ZERO);
-        let token = match acts[1] {
-            SenderAction::ArmTimer { token, .. } => token,
-            _ => panic!(),
-        };
-        let acts = s.on_timer(token, Instant::from_secs(1));
+        assert!(matches!(acts[1], SenderAction::ArmTimer { .. }));
+        let acts = s.on_timer(Instant::from_secs(1));
         match &acts[0] {
             SenderAction::Transmit(seg) => assert!(seg.syn),
             other => panic!("{other:?}"),
@@ -904,16 +889,11 @@ mod tests {
             .collect();
         assert!(!data.is_empty());
         let cwnd_before = s.cwnd();
-        let token = acts
+        assert!(acts
             .iter()
-            .rev()
-            .find_map(|a| match a {
-                SenderAction::ArmTimer { token, .. } => Some(*token),
-                _ => None,
-            })
-            .unwrap();
+            .any(|a| matches!(a, SenderAction::ArmTimer { .. })));
         // Lose everything; fire the RTO.
-        let acts = s.on_timer(token, Instant::from_secs(2));
+        let acts = s.on_timer(Instant::from_secs(2));
         match &acts[0] {
             SenderAction::Transmit(seg) => {
                 assert_eq!(seg.seq, data[0].seq, "retransmits from snd_una");
@@ -932,26 +912,19 @@ mod tests {
         };
         let mut s = BulkSender::new(cfg, 1, 1000, 1);
         let acts = s.start(Instant::ZERO);
-        let mut token = match acts[1] {
-            SenderAction::ArmTimer { token, .. } => token,
-            _ => panic!(),
-        };
+        assert!(matches!(acts[1], SenderAction::ArmTimer { .. }));
         let mut now = Instant::ZERO;
         let mut aborted = false;
         for _ in 0..10 {
             now += Duration::from_secs(5);
-            let acts = s.on_timer(token, now);
+            let acts = s.on_timer(now);
             if acts.iter().any(|a| matches!(a, SenderAction::Aborted)) {
                 aborted = true;
                 break;
             }
-            token = acts
+            assert!(acts
                 .iter()
-                .find_map(|a| match a {
-                    SenderAction::ArmTimer { token, .. } => Some(*token),
-                    _ => None,
-                })
-                .unwrap();
+                .any(|a| matches!(a, SenderAction::ArmTimer { .. })));
         }
         assert!(aborted);
         assert!(s.is_aborted());
@@ -1099,26 +1072,15 @@ mod tests {
         // the retransmission, so the collapse must be undone.
         let (mut s, mut r, flight) = established_with_flight(1_000_000);
         let cwnd_before = s.cwnd();
-        let token_time = Instant::from_secs(3);
-        // Find the armed token by firing a timer expiry sweep.
-        let acts = s.on_timer(u64::MAX, token_time); // stale: no-op
-        assert!(acts.is_empty());
-        // The real token is whatever the last arm used; brute force a few.
-        let mut fired = Vec::new();
-        for token in 1..200 {
-            let acts = s.on_timer(token, token_time);
-            if !acts.is_empty() {
-                fired = acts;
-                break;
-            }
-        }
+        let rto_at = Instant::from_secs(3);
+        let fired = s.on_timer(rto_at);
         assert!(
             fired.iter().any(|a| matches!(a, SenderAction::Transmit(_))),
             "RTO must retransmit"
         );
         assert_eq!(s.cwnd(), 1460, "collapsed");
         // Original flight now delivers; its ACKs echo pre-RTO timestamps.
-        let now = token_time + Duration::from_millis(10);
+        let now = rto_at + Duration::from_millis(10);
         let mut undone = false;
         for seg in &flight {
             for a in r.on_segment(seg, now) {

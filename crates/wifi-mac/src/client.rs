@@ -76,14 +76,13 @@ pub enum JoinFailure {
 pub enum Action {
     /// Transmit this frame (subject to the radio being on-channel).
     Send(Frame),
-    /// Arm the response timer: call [`ClientMac::handle_timer`] with `token`
-    /// after `after` elapses, unless a newer timer supersedes it.
+    /// Arm the response timer: call [`ClientMac::handle_timer`] once
+    /// `after` elapses. The caller keeps at most one expiry queued per
+    /// machine, and a re-arm replaces it; an expiry in a state that awaits
+    /// none is ignored.
     ArmTimer {
         /// Delay until expiry.
         after: Duration,
-        /// Generation token; stale tokens must be ignored by the machine
-        /// (it checks), so the caller never needs to cancel.
-        token: u64,
     },
     /// The join completed; the interface holds association id `aid`.
     Joined {
@@ -113,7 +112,6 @@ pub struct ClientMac {
     ssid: Ssid,
     config: JoinConfig,
     state: State,
-    timer_gen: u64,
     seq: u16,
     /// When the current join attempt started (for join-time measurement).
     started_at: Option<Instant>,
@@ -128,7 +126,6 @@ impl ClientMac {
             ssid,
             config,
             state: State::Idle,
-            timer_gen: 0,
             seq: 0,
             started_at: None,
         }
@@ -180,11 +177,9 @@ impl ClientMac {
         self.seq
     }
 
-    fn arm(&mut self) -> Action {
-        self.timer_gen += 1;
+    fn arm(&self) -> Action {
         Action::ArmTimer {
             after: self.config.link_layer_timeout,
-            token: self.timer_gen,
         }
     }
 
@@ -226,7 +221,6 @@ impl ClientMac {
     pub fn disassociate(&mut self) -> Vec<Action> {
         let was_associated = self.is_associated();
         self.state = State::Idle;
-        self.timer_gen += 1; // invalidate outstanding timer
         self.started_at = None;
         if was_associated {
             let f = Frame::new(
@@ -262,18 +256,15 @@ impl ClientMac {
                     vec![self.send(req), self.arm()]
                 } else {
                     self.state = State::Failed;
-                    self.timer_gen += 1;
                     vec![Action::Failed(JoinFailure::Refused(auth.status))]
                 }
             }
             (State::Associating { .. }, FrameBody::AssocResp(resp)) => {
                 if resp.status == STATUS_SUCCESS {
                     self.state = State::Associated { aid: resp.aid };
-                    self.timer_gen += 1;
                     vec![Action::Joined { aid: resp.aid }]
                 } else {
                     self.state = State::Failed;
-                    self.timer_gen += 1;
                     vec![Action::Failed(JoinFailure::Refused(resp.status))]
                 }
             }
@@ -290,12 +281,9 @@ impl ClientMac {
         }
     }
 
-    /// Feed a timer expiry. Stale tokens (superseded by newer timers or by
-    /// state changes) are ignored.
-    pub fn handle_timer(&mut self, token: u64) -> Vec<Action> {
-        if token != self.timer_gen {
-            return Vec::new();
-        }
+    /// Feed the expiry of the timer last armed. Ignored unless a
+    /// handshake phase is waiting for a response.
+    pub fn handle_timer(&mut self) -> Vec<Action> {
         let max = self.config.attempts_per_phase;
         match self.state {
             State::Probing { attempt } => {
@@ -345,7 +333,6 @@ impl ClientMac {
 
     fn fail(&mut self, phase: JoinPhase) -> Vec<Action> {
         self.state = State::Failed;
-        self.timer_gen += 1;
         vec![Action::Failed(JoinFailure::Timeout(phase))]
     }
 }
@@ -427,21 +414,18 @@ mod tests {
             ..JoinConfig::default()
         });
         let acts = m.start(Instant::ZERO);
-        let mut token = match acts[1] {
-            Action::ArmTimer { token, .. } => token,
-            _ => panic!("no timer armed"),
-        };
+        assert!(matches!(acts[1], Action::ArmTimer { .. }), "no timer armed");
         // Two retries…
         for _ in 0..2 {
-            let acts = m.handle_timer(token);
+            let acts = m.handle_timer();
             assert!(matches!(&acts[0], Action::Send(f) if f.retry));
-            token = match acts[1] {
-                Action::ArmTimer { token, .. } => token,
-                _ => panic!("no timer rearmed"),
-            };
+            assert!(
+                matches!(acts[1], Action::ArmTimer { .. }),
+                "no timer rearmed"
+            );
         }
         // …third expiry exhausts the budget.
-        let acts = m.handle_timer(token);
+        let acts = m.handle_timer();
         assert_eq!(
             acts,
             vec![Action::Failed(JoinFailure::Timeout(JoinPhase::Probe))]
@@ -450,17 +434,24 @@ mod tests {
     }
 
     #[test]
-    fn stale_timer_tokens_ignored() {
+    fn timer_ignored_unless_waiting() {
         let mut m = machine(JoinConfig::default());
-        let acts = m.start(Instant::ZERO);
-        let token = match acts[1] {
-            Action::ArmTimer { token, .. } => token,
-            _ => panic!(),
-        };
-        // Probe response arrives; the probe timer is now stale.
-        let resp = Frame::probe_response(ap(), sta(), ssid(), Channel::CH1, 0);
-        m.handle_frame(&resp);
-        assert!(m.handle_timer(token).is_empty());
+        assert!(m.handle_timer().is_empty(), "idle");
+        complete_join(&mut m);
+        assert!(m.handle_timer().is_empty(), "associated");
+        assert!(m.is_associated());
+        let mut m = machine(JoinConfig {
+            use_probe: false,
+            ..JoinConfig::default()
+        });
+        m.start(Instant::ZERO);
+        m.handle_frame(&Frame::auth_response(
+            ap(),
+            sta(),
+            crate::frame::STATUS_FAILURE,
+        ));
+        assert!(m.handle_timer().is_empty(), "failed");
+        assert!(m.has_failed());
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The shapes of the lab micro-benchmarks behind Figs. 8 and 9, pinned
-//! at a reduced run length. The worlds are the ones the `experiments`
-//! binary builds for `fig8` and `fig9` (one stationary client 10 m from
+//! The shapes of the lab micro-benchmarks behind Figs. 7, 8 and 9,
+//! pinned at a reduced run length. The worlds are the ones the
+//! `experiments` binary builds for `fig7`, `fig8` and `fig9` (one
+//! stationary client 10 m from
 //! lab APs, 90 ms backhaul latency, the default seed); only the run
 //! length is shorter. The assertions are the orderings EXPERIMENTS.md
 //! states, not absolute values.
@@ -37,6 +38,67 @@ fn lab_run(sites: Vec<ApSite>, spider: SpiderConfig, secs: u64) -> RunResult {
     );
     cfg.backhaul_latency = Duration::from_millis(90);
     run(cfg)
+}
+
+/// Fig. 7's schedule: share `f` of a 400 ms cycle on channel 1, the rest
+/// split evenly over channels 6 and 11.
+fn fig7_run(f: f64) -> RunResult {
+    let mut spider = SpiderConfig::single_channel_multi_ap(Channel::CH1);
+    if f < 1.0 {
+        let cycle = Duration::from_millis(400);
+        let away = cycle.mul_f64((1.0 - f) / 2.0);
+        spider.schedule = SchedulePolicy::MultiChannel {
+            slices: vec![
+                (Channel::CH1, cycle.mul_f64(f)),
+                (Channel::CH6, away),
+                (Channel::CH11, away),
+            ],
+        };
+    }
+    lab_run(
+        vec![lab_site(1, 0.0, Channel::CH1, 100_000_000)],
+        spider,
+        20,
+    )
+}
+
+/// Fig. 7: 10 % on the AP's channel delivers nothing (no DHCP
+/// acquisition completes). From 20 % to 50 % a slice (80–200 ms) is
+/// shorter than the 180 ms wired round trip or barely longer, so TCP
+/// moves about one window per cycle: a plateau. From 60 % up the ACK
+/// clock turns within a slice, so every 10 % step delivers more, and
+/// every share from 60 % up beats every plateau share. Timeouts play no
+/// part: no share takes more than one RTO.
+#[test]
+fn fig7_plateau_then_knee_at_sixty_percent() {
+    let runs: Vec<RunResult> = (1..=10).map(|i| fig7_run(i as f64 / 10.0)).collect();
+    let at = |pct: usize| &runs[pct / 10 - 1];
+    let tput = |pct: usize| at(pct).avg_throughput_bps;
+    assert_eq!(at(10).total_bytes, 0, "10 % delivered bytes");
+    assert!(
+        at(10).dhcp_attempts > 0 && at(10).join_times.is_empty(),
+        "10 %: {} of {} DHCP acquisitions completed",
+        at(10).join_times.count(),
+        at(10).dhcp_attempts
+    );
+    let plateau_max = [20, 30, 40, 50].map(tput).into_iter().fold(0.0, f64::max);
+    for pct in [60, 70, 80, 90, 100] {
+        assert!(
+            tput(pct) > plateau_max,
+            "{pct} %: {:.0} B/s, not above the 20–50 % plateau's best {plateau_max:.0}",
+            tput(pct)
+        );
+        assert!(
+            tput(pct) > tput(pct - 10),
+            "{pct} %: {:.0} B/s, not above {} %'s {:.0}",
+            tput(pct),
+            pct - 10,
+            tput(pct - 10)
+        );
+    }
+    for (i, r) in runs.iter().enumerate() {
+        assert!(r.tcp_rtos <= 1, "{} %: {} RTOs", 10 * (i + 1), r.tcp_rtos);
+    }
 }
 
 /// Fig. 8: under an equal three-channel schedule, long slices strangle

@@ -873,14 +873,14 @@ fn tcp_survives_lossy_reordering_pipe() {
             // times; timers for the sender.
             let mut now = Instant::ZERO;
             let mut flights: Vec<(Instant, bool, Segment)> = Vec::new(); // (arrival, to_receiver, seg)
-            let mut timer: Option<(Instant, u64)> = None;
+            let mut timer: Option<Instant> = None;
             let mut delivered = 0u64;
 
             let push_sender_actions = |acts: Vec<SenderAction>,
                                        now: Instant,
                                        rng: &mut Rng,
                                        flights: &mut Vec<(Instant, bool, Segment)>,
-                                       timer: &mut Option<(Instant, u64)>|
+                                       timer: &mut Option<Instant>|
              -> bool {
                 let mut complete = false;
                 for a in acts {
@@ -890,9 +890,7 @@ fn tcp_survives_lossy_reordering_pipe() {
                             flights.push((now + delay, true, seg));
                         }
                         SenderAction::Transmit(_) => {} // lost
-                        SenderAction::ArmTimer { after, token } => {
-                            *timer = Some((now + after, token))
-                        }
+                        SenderAction::ArmTimer { after } => *timer = Some(now + after),
                         SenderAction::Complete => complete = true,
                         _ => {}
                     }
@@ -916,13 +914,13 @@ fn tcp_survives_lossy_reordering_pipe() {
                 let take_timer = match (next_flight_at, timer) {
                     (None, Some(_)) => true,
                     (Some(_), None) => false,
-                    (Some(f), Some((t, _))) => t <= f,
+                    (Some(f), Some(t)) => t <= f,
                     (None, None) => unreachable!("asserted above"),
                 };
                 if take_timer {
-                    let (t, token) = timer.take().expect("checked");
+                    let t = timer.take().expect("checked");
                     now = now.max(t);
-                    let acts = sender.on_timer(token, now);
+                    let acts = sender.on_timer(now);
                     prop_assert!(!sender.is_aborted(), "sender aborted at {loss_pct}% loss");
                     complete = push_sender_actions(acts, now, &mut rng, &mut flights, &mut timer)
                         || complete;

@@ -5,7 +5,7 @@
 //! serialization moves at least one of them.
 //!
 //! The worlds cover every `SchedulePolicy`, a segmented download plan, a
-//! three-client fleet and a sixteen-client convoy. The pins are
+//! three-client fleet, a sixteen-client convoy and a drive past two APs. The pins are
 //! deliberate: a refactor must leave them alone, and a behaviour change
 //! must say why it moves them.
 //!
@@ -25,6 +25,18 @@
 //! not tuned to lost events; `edge_of_range_lab` and `segmented_plan_lab`,
 //! whose APs all share the client's one channel, did not move.
 //! Fixed-period timers riding FIFO lanes of the queue moved nothing.
+//!
+//! They fell once more, every hash unchanged, when every timer owner came
+//! to keep exactly one queued event: an interface's timer is moved on
+//! re-arm and cancelled when the interface is torn down, and a removed
+//! connection's RTO is cancelled. The expiries that stopped firing were
+//! all ones the state machines ignored, such as a link-layer timer
+//! outlived by the association it guarded or an RTO of a finished
+//! connection. `multi_channel_drive`'s peak depth fell by one.
+//! `pass_by_mid_think` was pinned just before that change, at
+//! `("d1d65c4b23321a678cd5005f97ed31a7", 2221, 17)`; it is the one world
+//! here that tears an interface down with a timer queued and re-arms it
+//! before the old timer was due.
 
 use spider_repro::campaign::hash::content_hash;
 use spider_repro::dhcp::DhcpClientConfig;
@@ -98,7 +110,7 @@ fn lab(channels: &[Channel], spider: SpiderConfig, secs: u64) -> WorldConfig {
 fn single_channel_drive() {
     pin(
         drive(SpiderConfig::single_channel_multi_ap(Channel::CH1), 120),
-        ("d7356ae86260bcada24327ef89a54f84", 53951, 137),
+        ("d7356ae86260bcada24327ef89a54f84", 53945, 137),
     );
 }
 
@@ -109,7 +121,7 @@ fn multi_channel_drive() {
             SpiderConfig::multi_channel_multi_ap(Duration::from_millis(200)),
             120,
         ),
-        ("ac4ff6b54e17832374c3cfc3f525074c", 17161, 40),
+        ("ac4ff6b54e17832374c3cfc3f525074c", 17131, 39),
     );
 }
 
@@ -130,7 +142,7 @@ fn quarter_fraction_drive() {
     spider.dhcp = DhcpClientConfig::reduced(Duration::from_millis(100));
     pin(
         drive(spider, 300),
-        ("f47e7b2ae4ea3a6797b6dd10e3b18627", 58398, 78),
+        ("f47e7b2ae4ea3a6797b6dd10e3b18627", 58348, 78),
     );
 }
 
@@ -142,7 +154,7 @@ fn edge_of_range_lab() {
     spider.min_join_rssi_dbm = -200.0;
     let mut cfg = lab(&[Channel::CH1], spider, 60);
     cfg.sites[0].position = Point::new(0.0, 190.0);
-    pin(cfg, ("8439b8bc049c473fb949187258c8f54e", 2584, 20));
+    pin(cfg, ("8439b8bc049c473fb949187258c8f54e", 2569, 20));
 }
 
 /// The stock driver: idle channel scanning and its 10 s join setup delay.
@@ -154,7 +166,7 @@ fn scan_when_idle_lab() {
             SpiderConfig::stock_madwifi(),
             40,
         ),
-        ("0537d72dabeccd23c38d02644efc0dd0", 18897, 77),
+        ("0537d72dabeccd23c38d02644efc0dd0", 18894, 77),
     );
 }
 
@@ -162,7 +174,7 @@ fn scan_when_idle_lab() {
 fn scan_when_idle_drive() {
     pin(
         drive(SpiderConfig::stock_madwifi(), 120),
-        ("e4f8c0e5d52f377bd2d6159d833b1289", 21174, 83),
+        ("e4f8c0e5d52f377bd2d6159d833b1289", 21167, 83),
     );
 }
 
@@ -174,7 +186,7 @@ fn adaptive_channel_lab() {
             SpiderConfig::adaptive_channel(),
             40,
         ),
-        ("bb949ffefdb4f93bb4fece25127038d4", 27474, 79),
+        ("bb949ffefdb4f93bb4fece25127038d4", 27471, 79),
     );
 }
 
@@ -191,7 +203,7 @@ fn segmented_plan_lab() {
         object_bytes: 300_000,
         think: Duration::from_secs(2),
     };
-    pin(cfg, ("fdddf26044dcd94fefe1c720c2434680", 14762, 100));
+    pin(cfg, ("fdddf26044dcd94fefe1c720c2434680", 14742, 100));
 }
 
 /// Three clients in convoy on the multi-channel schedule: shared medium,
@@ -203,7 +215,7 @@ fn multi_channel_fleet_of_three() {
         90,
     );
     cfg.fleet = convoy(&cfg.motion, 2, Duration::from_secs(5));
-    pin(cfg, ("f3cc94177d02cb079750bb1245283083", 16521, 51));
+    pin(cfg, ("f3cc94177d02cb079750bb1245283083", 16482, 51));
 }
 
 /// Sixteen clients in a tight convoy on the multi-channel schedule: most
@@ -216,5 +228,42 @@ fn multi_channel_convoy_of_sixteen() {
         60,
     );
     cfg.fleet = convoy(&cfg.motion, 15, Duration::from_secs(2));
-    pin(cfg, ("f6c1836c5e54525760df9992cdff7d04", 34923, 125));
+    pin(cfg, ("f6c1836c5e54525760df9992cdff7d04", 34861, 125));
+}
+
+/// A straight road past two APs 400 m apart, one interface, and 20 kB
+/// objects with 10 s of think time. The interface leaves the first AP
+/// during a think pause with its next-object timer queued, joins the AP
+/// ahead and arms that connection's think timer before the old one was
+/// due: a teardown that left the old timer queued would open the next
+/// object early.
+#[test]
+fn pass_by_mid_think() {
+    let sites = [300.0, 700.0]
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| ApSite {
+            id: i as u32 + 1,
+            position: Point::new(x, 20.0),
+            channel: Channel::CH1,
+            backhaul_bps: 2_000_000,
+            dhcp_delay_min: Duration::from_millis(100),
+            dhcp_delay_max: Duration::from_millis(400),
+        })
+        .collect();
+    let mut spider = SpiderConfig::single_channel_multi_ap(Channel::CH1);
+    spider.max_ifaces = 1;
+    let road = Route::straight(Point::new(0.0, 0.0), Point::new(2_000.0, 0.0));
+    let mut cfg = WorldConfig::new(
+        SEED,
+        sites,
+        ClientMotion::Route(Vehicle::new(road, 20.0, Instant::ZERO)),
+        spider,
+        Duration::from_secs(60),
+    );
+    cfg.plan = DownloadPlan::Segmented {
+        object_bytes: 20_000,
+        think: Duration::from_secs(10),
+    };
+    pin(cfg, ("d1d65c4b23321a678cd5005f97ed31a7", 2208, 16));
 }
