@@ -235,9 +235,19 @@ step "bench regression check (gating)"
 #                            re-measurement of the identical closure:
 #                            proves back-to-back *cross-run* comparisons
 #                            hold still on this machine right now.
-#   3. capture → +10%      — the same committed-baseline machinery must
+#   3. capture → +10%      — the same capture/compare machinery must
 #                            flag a deliberately injected slowdown.
-#   4. committed baseline  — des_core vs benches/baselines/des_core.json.
+#   4. base-commit baseline — the base commit's bench, built from its
+#                            tree into target/bench-base before step 1,
+#                            and HEAD's bench each capture des_core four
+#                            times, in turn (B H, H B, B H, H B), and
+#                            `bench diff` judges HEAD's captures against
+#                            the base's, pooled, at --min-effect 10. Slow
+#                            phases of the host then hit both builds, and
+#                            drift between HEAD's first and last two
+#                            captures reads inconclusive. The base is the
+#                            merge-base with main; on a clean checkout of
+#                            a main commit, its parent.
 # A regression verdict from step 4 fails CI only when steps 1–3 all
 # passed; on a machine that cannot hold still, the verdict is reported
 # loudly as inconclusive instead of silently passing or flaking.
@@ -245,6 +255,23 @@ BENCH=./target/release/bench
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 trajectory="$PWD/target/BENCH_trajectory.jsonl"
 machine_quiet=1
+
+base=$(git merge-base HEAD main 2>/dev/null ||
+    git merge-base HEAD origin/main 2>/dev/null || true)
+if [ "$base" = "$(git rev-parse HEAD)" ] && [ -z "$(git status --porcelain)" ]; then
+    base=$(git rev-parse -q --verify HEAD~1 || true)
+fi
+if [ -z "$base" ]; then
+    echo "error: no base commit to capture des_core from (a shallow clone? fetch the history)" >&2
+    exit 1
+fi
+base_dir=target/bench-base
+rm -rf "$base_dir/src"
+mkdir -p "$base_dir/src"
+git archive "$base" | tar -x -C "$base_dir/src"
+cargo build -q --release --offline -p bench --bin bench \
+    --manifest-path "$base_dir/src/Cargo.toml" --target-dir "$PWD/$base_dir/target"
+BASE_BENCH=$base_dir/target/release/bench
 
 rc=0
 "$BENCH" selftest --budget-ms 500 || rc=$?
@@ -266,7 +293,7 @@ rc=0
     --compare target/BENCH_gate_baseline.json >/dev/null || rc=$?
 case $rc in
     0) echo "ok: cross-run A/A of the identical closure reads no-difference" ;;
-    2|3) echo "report: cross-run A/A unstable (exit $rc) — committed-baseline verdicts demoted to reports"
+    2|3) echo "report: cross-run A/A unstable (exit $rc) — des_core verdicts demoted to reports"
          machine_quiet=0 ;;
     *) echo "error: bench gate_selfcheck A/A compare failed to run (exit $rc)" >&2; exit 1 ;;
 esac
@@ -275,20 +302,36 @@ SPIDER_GATE_INJECT_PCT=10 "$BENCH" gate_selfcheck --budget-ms 500 --min-effect 5
     --compare target/BENCH_gate_baseline.json >/dev/null || rc=$?
 case $rc in
     2) echo "ok: injected +10% slowdown flagged as a regression" ;;
-    0|3) echo "report: injected slowdown not resolved (exit $rc) — committed-baseline verdicts demoted to reports"
+    0|3) echo "report: injected slowdown not resolved (exit $rc) — des_core verdicts demoted to reports"
          machine_quiet=0 ;;
     *) echo "error: bench gate_selfcheck injected compare failed to run (exit $rc)" >&2; exit 1 ;;
 esac
 
+bases=
+heads=
+for round in 1 2 3 4; do
+    if [ $((round % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi
+    for side in $order; do
+        if [ "$side" = base ]; then bin=$BASE_BENCH; else bin=$BENCH; fi
+        rc=0
+        "$bin" des_core --budget-ms 1000 \
+            --capture "target/BENCH_des_${side}_$round.json" >/dev/null || rc=$?
+        if [ "$rc" -ne 0 ]; then
+            echo "error: des_core capture of $side (round $round) failed (exit $rc)" >&2
+            exit 1
+        fi
+    done
+    bases=${bases:+$bases,}target/BENCH_des_base_$round.json
+    heads=${heads:+$heads,}target/BENCH_des_head_$round.json
+done
 rc=0
-"$BENCH" des_core --min-effect 10 \
-    --compare crates/bench/benches/baselines/des_core.json \
+"$BENCH" diff "$bases" "$heads" --min-effect 10 \
     --json "$PWD/target/BENCH_des.json" \
     --trajectory "$trajectory" --commit "$commit" || rc=$?
 case $rc in
-    0) echo "ok: des_core within baseline (target/BENCH_des.json, trajectory appended)" ;;
+    0) echo "ok: des_core within the base commit's captures (target/BENCH_des.json, trajectory appended)" ;;
     2) if [ "$machine_quiet" -eq 1 ]; then
-           echo "error: des_core regressed against the committed baseline" >&2
+           echo "error: des_core regressed against the base commit" >&2
            exit 1
        fi
        echo "report: des_core regression verdict on a machine that failed its self-check — not gating" ;;
@@ -299,7 +342,7 @@ esac
 step "bench des_metro (grid vs linear scan, verdict greped)"
 # The spatial grid must beat the linear scan it replaced on the 1024-AP
 # downtown at the contention query radius. bench_pair verdicts never feed
-# the exit code (that channel belongs to committed-baseline compares), so
+# the exit code (that channel belongs to baseline compares), so
 # the gate greps the printed interleaved-A/B verdict instead — demoted to
 # a report when the machine failed its own self-check above.
 rc=0

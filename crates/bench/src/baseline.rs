@@ -1,9 +1,11 @@
-//! Committed-baseline loading for `bench compare`.
+//! Baseline loading for `bench <suite> --compare` and `bench diff`.
 //!
 //! A baseline file is simply a bench JSON artifact written by
 //! [`crate::timer::Harness`] with per-batch sample arrays — capture one
-//! with `bench <suite> --capture benches/baselines/<suite>.json` and
-//! commit it. Keeping raw samples (not just summaries) is the point:
+//! with `bench <suite> --capture <file>`, on the machine that will
+//! compare against it (`ci.sh` captures the base commit's build in
+//! rounds that alternate with HEAD's, and pools them). Keeping
+//! raw samples (not just summaries) is the point:
 //! the comparison re-bootstraps both sides, so the interval honestly
 //! reflects the baseline's own measurement noise instead of treating a
 //! recorded median as gospel.
@@ -23,6 +25,8 @@ pub struct BaselineBench {
     pub name: String,
     /// Per-batch ns/iteration samples from the capture run.
     pub samples_ns: Vec<f64>,
+    /// Iterations the samples cover (0 when the artifact omits them).
+    pub iters: u64,
 }
 
 /// A parsed baseline artifact.
@@ -80,7 +84,12 @@ impl Baseline {
             if samples_ns.is_empty() {
                 return Err(format!("bench {name:?} has an empty sample array"));
             }
-            benches.push(BaselineBench { name, samples_ns });
+            let iters = entry.get("iters").and_then(Value::as_f64).unwrap_or(0.0) as u64;
+            benches.push(BaselineBench {
+                name,
+                samples_ns,
+                iters,
+            });
         }
         if benches.is_empty() {
             return Err("baseline contains no benches".to_string());
@@ -90,10 +99,42 @@ impl Baseline {
 
     /// The committed samples for one bench name, if present.
     pub fn samples_for(&self, name: &str) -> Option<&[f64]> {
-        self.benches
-            .iter()
-            .find(|b| b.name == name)
-            .map(|b| b.samples_ns.as_slice())
+        self.bench(name).map(|b| b.samples_ns.as_slice())
+    }
+
+    /// One bench's entry, if present.
+    pub fn bench(&self, name: &str) -> Option<&BaselineBench> {
+        self.benches.iter().find(|b| b.name == name)
+    }
+
+    /// Pool captures of one target into one baseline: each bench's
+    /// samples and iterations are those of every run that has it, in run
+    /// order, and the benches keep the order of their first appearance.
+    /// Fails on no runs or runs of different targets.
+    pub fn pooled(runs: &[Baseline]) -> Result<Baseline, String> {
+        let first = runs.first().ok_or("no runs to pool")?;
+        let mut pool = Baseline {
+            target: first.target.clone(),
+            benches: Vec::new(),
+        };
+        for run in runs {
+            if run.target != pool.target {
+                return Err(format!(
+                    "cannot pool captures of targets {:?} and {:?}",
+                    pool.target, run.target
+                ));
+            }
+            for bench in &run.benches {
+                match pool.benches.iter_mut().find(|b| b.name == bench.name) {
+                    Some(b) => {
+                        b.samples_ns.extend_from_slice(&bench.samples_ns);
+                        b.iters += bench.iters;
+                    }
+                    None => pool.benches.push(bench.clone()),
+                }
+            }
+        }
+        Ok(pool)
     }
 }
 
@@ -118,11 +159,27 @@ mod tests {
     }
 
     #[test]
-    fn the_committed_baseline_parses() {
-        let b = Baseline::from_json(include_str!("../benches/baselines/des_core.json"))
-            .expect("committed baseline");
-        assert_eq!(b.target, "des_core");
-        assert!(!b.benches.is_empty());
+    fn pooling_concatenates_runs_in_order() {
+        let a = Baseline::from_json(OK).unwrap();
+        let b = Baseline::from_json(
+            r#"{"target":"des_core","benches":[{"name":"new","samples_ns":[7.0]},
+                {"name":"fig5","iters":3,"samples_ns":[2.0]}]}"#,
+        )
+        .unwrap();
+        let pool = Baseline::pooled(&[a, b]).unwrap();
+        let names: Vec<&str> = pool.benches.iter().map(|b| b.name.as_str()).collect();
+        assert_eq!(names, ["fig5", "intern", "new"]);
+        assert_eq!(
+            pool.samples_for("fig5"),
+            Some(&[2400000.5, 2500000.0, 2600000.1, 2.0][..])
+        );
+        assert_eq!(pool.bench("fig5").map(|b| b.iters), Some(12));
+        assert_eq!(pool.bench("intern").map(|b| b.iters), Some(0));
+        let other =
+            Baseline::from_json(r#"{"target":"x","benches":[{"name":"a","samples_ns":[1.0]}]}"#)
+                .unwrap();
+        assert!(Baseline::pooled(&[pool, other]).is_err());
+        assert!(Baseline::pooled(&[]).is_err());
     }
 
     #[test]

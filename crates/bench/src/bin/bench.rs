@@ -5,10 +5,12 @@
 //! ```text
 //! bench list
 //! bench <suite> [filter] [--budget-ms N] [--capture out.json]
-//! bench <suite> --compare benches/baselines/<suite>.json \
+//! bench <suite> --compare baseline.json \
 //!       [--confidence 99] [--min-effect 5] [--resamples 2000] \
 //!       [--trajectory target/BENCH_trajectory.jsonl] [--commit abc123]
 //! bench selftest [--budget-ms N] ...
+//! bench diff BASE.json[,BASE.json...] HEAD.json[,HEAD.json...] \
+//!       [--min-effect 5] [--json out.json] [--trajectory ...] [--commit ...]
 //! bench trajectory [target/BENCH_trajectory.jsonl] \
 //!       [--min-points 3] [--min-rise 5]
 //! ```
@@ -24,7 +26,17 @@
 //! interleaved A/B with a genuinely injected +10 % workload must read
 //! "regression". Anything else exits 3 — the machine is too noisy to
 //! gate on, and ci.sh reports that loudly instead of flaking.
+//!
+//! `diff` compares captures instead of measuring: the base captures are
+//! pooled into one baseline, and each bench's HEAD captures (two or
+//! more, in the order they ran) are judged against it as one run whose
+//! halves are the first and second half of the captures. Captures taken
+//! in alternation with the base's (B H H B ...) share the machine's slow
+//! phases, which one capture and one compare minutes apart do not.
 
+use std::path::Path;
+
+use bench::baseline::Baseline;
 use bench::stats::Verdict;
 use bench::suites::{self, spin, GATE_SPIN_ITERS};
 use bench::timer::{Harness, Options, EXIT_INCONCLUSIVE};
@@ -52,6 +64,9 @@ fn run() -> i32 {
     // for unusable input).
     if cmd == "trajectory" {
         return trajectory_cmd(raw.collect());
+    }
+    if cmd == "diff" {
+        return diff_cmd(raw);
     }
     let mut opts = Options::from_env();
     if let Err(e) = opts.apply_args(raw) {
@@ -155,6 +170,63 @@ fn trajectory_cmd(args: Vec<String>) -> i32 {
         bench::trajectory::report(&points, min_points, min_rise)
     );
     0
+}
+
+/// `bench diff BASES HEADS [--flags]`: judge the HEAD captures against
+/// the pooled base captures (comma-separated lists of capture files), with
+/// the exit codes of a compare run.
+fn diff_cmd(args: impl Iterator<Item = String>) -> i32 {
+    diff(args).unwrap_or_else(|e| {
+        eprintln!("bench diff: {e}");
+        1
+    })
+}
+
+fn diff(mut args: impl Iterator<Item = String>) -> Result<i32, String> {
+    let (Some(bases), Some(heads)) = (args.next(), args.next()) else {
+        return Err("usage: bench diff BASE.json[,...] HEAD.json[,...] [--flags]".into());
+    };
+    let mut opts = Options::from_env();
+    opts.apply_args(args)?;
+    let load = |list: &str| -> Result<Vec<Baseline>, String> {
+        list.split(',')
+            .map(|p| Baseline::load(Path::new(p)))
+            .collect()
+    };
+    let base_runs = load(&bases)?;
+    let head_runs = load(&heads)?;
+    if head_runs.len() < 2 {
+        return Err("give at least two HEAD captures".into());
+    }
+    let base = Baseline::pooled(&base_runs)?;
+    let head = Baseline::pooled(&head_runs)?;
+    if head.target != base.target {
+        return Err(format!(
+            "base captures are of {:?}, HEAD captures of {:?}",
+            base.target, head.target
+        ));
+    }
+    let what = format!(
+        "{} HEAD captures against {} pooled base captures",
+        head_runs.len(),
+        base_runs.len()
+    );
+    let mut h = Harness::comparing(&head.target, opts, &what, base);
+    for bench in &head.benches {
+        let runs: Vec<&[f64]> = head_runs
+            .iter()
+            .filter_map(|r| r.samples_for(&bench.name))
+            .collect();
+        if runs.len() < 2 {
+            eprintln!(
+                "warning: {:?} is in fewer than two HEAD captures — skipped",
+                bench.name
+            );
+            continue;
+        }
+        h.record_runs(&bench.name, &runs, bench.iters);
+    }
+    Ok(h.finish())
 }
 
 /// The A/A + injected-slowdown self-test. Exit 0 when both expectations

@@ -201,7 +201,7 @@ pub fn cliffs_delta(baseline: &[f64], candidate: &[f64]) -> f64 {
 /// point estimate: a regression needs the interval to exclude zero *and*
 /// a median shift of at least this much (0.0 = significance alone
 /// decides). ci.sh widens it for cross-run comparisons against a
-/// committed baseline, where run-to-run drift is real even on one
+/// captured baseline, where run-to-run drift is real even on one
 /// machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompareConfig {

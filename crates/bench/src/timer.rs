@@ -12,11 +12,15 @@
 //!   scheduler) hits both sides equally and cancels out of the
 //!   difference instead of biasing one side.
 //! * **Compare-vs-baseline** (`--compare <baseline.json>`): re-measure
-//!   each bench and compare its samples against a committed baseline's
+//!   each bench and compare its samples against a baseline's
 //!   samples. Each bench's own batches are also split first-half vs
 //!   second-half as an A/A stationarity check — a drifting machine
 //!   reports [`stats::Verdict::Inconclusive`] loudly instead of
 //!   fabricating a pass or a regression.
+//!   The same verdicts apply to samples captured elsewhere
+//!   ([`Harness::record_runs`], behind `bench diff`): several captures
+//!   of one build stand in for one run, and their first half against
+//!   their second is the A/A check.
 //!
 //! Exit codes from [`Harness::finish`] (callers `std::process::exit`
 //! with the return value): `0` no regression, `1` a compare run that
@@ -27,7 +31,7 @@
 //! CLI (works both under `cargo bench -- <args>` and the `bench` bin):
 //! one bare argument, a substring filter on bench names;
 //! `--budget-ms N`, `--compare <path>`, `--capture <path>` (write a
-//! sample-bearing artifact usable as a committed baseline), `--json
+//! sample-bearing artifact usable as a baseline), `--json
 //! <path>`, `--confidence <pct>`, `--min-effect <pct>`, `--resamples N`,
 //! `--trajectory <path>` (append one JSONL line per bench), `--commit
 //! <label>`, and `--bench`, which cargo passes to `harness = false`
@@ -190,6 +194,15 @@ impl Options {
         Ok(())
     }
 
+    /// The header's confidence and guard band, e.g. ` @99.0% confidence, ±10.0% guard band`.
+    fn bands(&self) -> String {
+        format!(
+            " @{:.1}% confidence, ±{:.1}% guard band",
+            self.confidence * 100.0,
+            self.min_effect * 100.0
+        )
+    }
+
     fn compare_config(&self) -> CompareConfig {
         CompareConfig {
             confidence: self.confidence,
@@ -276,23 +289,30 @@ impl Harness {
             "{target}: {} ms budget per bench{}",
             opts.budget.as_millis(),
             match &opts.baseline_path {
-                Some(p) => format!(
-                    ", comparing against {} @{:.1}% confidence, ±{:.1}% guard band",
-                    p.display(),
-                    opts.confidence * 100.0,
-                    opts.min_effect * 100.0
-                ),
+                Some(p) => format!(", comparing against {}{}", p.display(), opts.bands()),
                 None => String::new(),
             }
         );
-        Ok(Harness {
+        Ok(Harness::new(target, opts, baseline))
+    }
+
+    /// A harness in compare mode against `baseline`, for samples
+    /// measured elsewhere and fed in with [`Harness::record_runs`];
+    /// `what` says what is compared, for the header line.
+    pub fn comparing(target: &str, opts: Options, what: &str, baseline: Baseline) -> Harness {
+        println!("{target}: comparing {what}{}", opts.bands());
+        Harness::new(target, opts, Some(baseline))
+    }
+
+    fn new(target: &str, opts: Options, baseline: Option<Baseline>) -> Harness {
+        Harness {
             target: target.to_string(),
             opts,
             baseline,
             ran: 0,
             stats: Vec::new(),
             extras: Vec::new(),
-        })
+        }
     }
 
     /// True when a baseline is loaded and every bench is being gated.
@@ -377,19 +397,41 @@ impl Harness {
             samples.push(Self::run_batch(&mut f, iters_per_batch));
             total_iters += iters_per_batch;
         }
-        self.record(name, samples, total_iters);
+        let half = samples.len() / 2;
+        self.record(name, samples, half, total_iters);
+    }
+
+    /// Record bench `name` from the samples of several earlier runs
+    /// (captures of one build, in the order they ran), as if measured
+    /// here: in compare mode the first half of the runs against the
+    /// second is the A/A stationarity check, so drift between runs
+    /// reads inconclusive. Skipped when the filter excludes `name`.
+    ///
+    /// # Panics
+    /// Panics on fewer than two runs.
+    pub fn record_runs(&mut self, name: &str, runs: &[&[f64]], total_iters: u64) {
+        assert!(runs.len() >= 2, "record_runs needs at least two runs");
+        if let Some(filter) = &self.opts.filter {
+            if !name.contains(filter.as_str()) {
+                return;
+            }
+        }
+        self.ran += 1;
+        let half = runs[..runs.len() / 2].iter().map(|r| r.len()).sum();
+        self.record(name, runs.concat(), half, total_iters);
     }
 
     /// Everything downstream of measurement: the stationarity split,
     /// summary statistics, compare-mode verdict, and the recorded stat.
     /// Split out so the verdict path is testable on synthetic samples.
-    fn record(&mut self, name: &str, mut samples: Vec<f64>, total_iters: u64) {
+    /// `samples[..half]` were measured before `samples[half..]`.
+    fn record(&mut self, name: &str, mut samples: Vec<f64>, half: usize, total_iters: u64) {
         // Compare-mode stationarity check *before* sorting: the halves
         // are temporal (first half of the run vs second), so drift
         // within the run shows up as a phantom A/A difference.
         let cfg = self.opts.compare_config();
         let split = if self.compare_mode() {
-            let (first, second) = samples.split_at(samples.len() / 2);
+            let (first, second) = samples.split_at(half);
             Some(stats::compare(first, second, &cfg))
         } else {
             None
@@ -944,6 +986,7 @@ mod tests {
             benches: vec![crate::baseline::BaselineBench {
                 name: "workload".to_string(),
                 samples_ns: samples.to_vec(),
+                iters: 0,
             }],
         }
     }
@@ -956,7 +999,8 @@ mod tests {
         h.opts.baseline_path = Some(PathBuf::from("<in-memory>"));
         h.baseline = Some(baseline_of(base));
         h.ran += 1;
-        h.record("workload", candidate, 100);
+        let half = candidate.len() / 2;
+        h.record("workload", candidate, half, 100);
         let verdict = h.stats[0].verdict;
         (h.finish(), verdict)
     }
@@ -1012,9 +1056,29 @@ mod tests {
         h.opts.min_effect = 0.05;
         h.baseline = Some(baseline_of(&synth(1, 40, 1000.0, 0.02)));
         h.ran += 1;
-        h.record("new_name", synth(2, 40, 5000.0, 0.02), 40);
+        h.record("new_name", synth(2, 40, 5000.0, 0.02), 20, 40);
         assert_eq!(h.stats[0].verdict, Some(Verdict::NoDifference));
         assert_eq!(h.finish(), 0);
+    }
+
+    #[test]
+    fn pooled_runs_compare_and_split_between_runs() {
+        let base = [synth(1, 20, 1000.0, 0.02), synth(2, 20, 1000.0, 0.02)].concat();
+        let diff = |a: Vec<f64>, b: Vec<f64>| {
+            let mut h = test_harness(30, None);
+            h.opts.min_effect = 0.05;
+            h.baseline = Some(baseline_of(&base));
+            h.record_runs("workload", &[&a, &b], 40);
+            let verdict = h.stats[0].verdict;
+            (h.finish(), verdict)
+        };
+        let same = diff(synth(3, 20, 1000.0, 0.02), synth(4, 20, 1000.0, 0.02));
+        assert_eq!(same, (0, Some(Verdict::NoDifference)));
+        let slower = diff(synth(3, 20, 1100.0, 0.02), synth(4, 20, 1100.0, 0.02));
+        assert_eq!(slower, (EXIT_REGRESSION, Some(Verdict::Regression)));
+        // The second run 20 % slower than the first: drift between runs.
+        let drift = diff(synth(3, 20, 1000.0, 0.02), synth(4, 20, 1200.0, 0.02));
+        assert_eq!(drift, (EXIT_INCONCLUSIVE, Some(Verdict::Inconclusive)));
     }
 
     #[test]

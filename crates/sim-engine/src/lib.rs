@@ -46,7 +46,7 @@ pub mod time;
 pub mod wire;
 
 pub use check::{check, check_with, CaseResult, Gen};
-pub use queue::{EventId, EventQueue};
+pub use queue::{EventId, EventQueue, LaneId};
 pub use rng::Rng;
 pub use runner::{run_until, Handler};
 pub use stats::{Samples, Summary};

@@ -50,6 +50,20 @@
 //! A push whose delay is below the smallest lane delay skips the lane
 //! search, so the data path (sub-millisecond airtimes) pays one
 //! comparison for the lanes.
+//!
+//! # Named lanes
+//!
+//! Some sources deliver in increasing time whatever their delay: a FIFO
+//! link's arrivals, say. [`EventQueue::add_named_lane`] opens a lane for
+//! one such source, and [`EventQueue::push_on`] appends to it. A named
+//! lane differs from a delay lane in one way: its front waits in the heap,
+//! tagged with the lane, and when it leaves the heap the lane's next entry
+//! takes its place. The heap then holds one entry per named lane instead
+//! of the lane's whole backlog, and a pop looks at no lane front it would
+//! not look at anyway, however many named lanes there are. The order
+//! argument is the delay lanes': an append that would unsort the lane goes
+//! to the heap instead, a cancelled front is dropped, and a front whose
+//! event was rescheduled later is re-seated untagged at its new key.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -91,7 +105,12 @@ struct Entry {
     at: Instant,
     seq: u64,
     slot: u32,
+    /// The named lane whose front this heap entry is, or [`NO_LANE`].
+    lane: u32,
 }
+
+/// [`Entry::lane`] of an entry that is no named lane's front.
+const NO_LANE: u32 = u32::MAX;
 
 impl Entry {
     fn key(&self) -> (Instant, u64) {
@@ -119,12 +138,19 @@ impl PartialEq for Entry {
 }
 impl Eq for Entry {}
 
-/// A FIFO lane for events pushed exactly `delay` after the queue's now,
-/// sorted by `(at, seq)` (see the module docs).
+/// A FIFO lane, sorted by `(at, seq)` (see the module docs): a delay
+/// lane takes pushes exactly its delay after the queue's now, a named
+/// lane the pushes its owner names.
 struct Lane {
-    delay: Duration,
+    /// `None` for a named lane.
+    delay: Option<Duration>,
+    /// The lane's entries; a named lane's front is also in the heap.
     entries: VecDeque<Entry>,
 }
+
+/// Handle of a named lane (see [`EventQueue::add_named_lane`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneId(u32);
 
 /// Where the earliest live event's entry waits.
 #[derive(Clone, Copy)]
@@ -151,12 +177,14 @@ enum Head {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry>,
-    /// FIFO lanes, one per registered delay.
+    /// Delay lanes, one per registered delay.
     lanes: Vec<Lane>,
+    /// Named lanes, indexed by [`LaneId`].
+    named: Vec<Lane>,
     /// The smallest lane delay ([`Duration::MAX`] with no lanes): a push
     /// with a shorter delay goes straight to the heap.
     min_lane_delay: Duration,
-    /// Entries (live or cancelled) waiting in lanes.
+    /// Entries (live or cancelled) waiting in lanes and not in the heap.
     laned: usize,
     /// Slot arena; entry `i` holds the event (if any) occupying slot `i`.
     slots: Vec<Slot<E>>,
@@ -184,6 +212,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             lanes: Vec::new(),
+            named: Vec::new(),
             min_lane_delay: Duration::MAX,
             laned: 0,
             slots: Vec::new(),
@@ -201,14 +230,26 @@ impl<E> EventQueue<E> {
     /// pop order is unchanged (see the module docs). Registering a delay
     /// twice opens one lane.
     pub fn add_lane(&mut self, delay: Duration) {
-        if self.lanes.iter().any(|lane| lane.delay == delay) {
+        if self.lanes.iter().any(|lane| lane.delay == Some(delay)) {
             return;
         }
         self.lanes.push(Lane {
-            delay,
+            delay: Some(delay),
             entries: VecDeque::new(),
         });
         self.min_lane_delay = self.min_lane_delay.min(delay);
+    }
+
+    /// Open a named FIFO lane for a source whose events arrive in
+    /// increasing time, and return its handle for
+    /// [`EventQueue::push_on`]. The pop order is unchanged (see the
+    /// module docs).
+    pub fn add_named_lane(&mut self) -> LaneId {
+        self.named.push(Lane {
+            delay: None,
+            entries: VecDeque::new(),
+        });
+        LaneId(self.named.len() as u32 - 1)
     }
 
     /// The time of the last popped event — "now" from the perspective of the
@@ -239,6 +280,21 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is earlier than the current queue time: an event
     /// handler may only schedule into the present or future.
     pub fn push(&mut self, at: Instant, event: E) -> EventId {
+        self.push_entry(at, event, None)
+    }
+
+    /// [`EventQueue::push`] onto the named lane `lane`: the event fires
+    /// exactly when a plain push would have it fire. It joins the lane if
+    /// it is not earlier than the lane's last entry, and the heap
+    /// otherwise.
+    ///
+    /// # Panics
+    /// As [`EventQueue::push`], and on a `lane` this queue did not open.
+    pub fn push_on(&mut self, lane: LaneId, at: Instant, event: E) -> EventId {
+        self.push_entry(at, event, Some(lane))
+    }
+
+    fn push_entry(&mut self, at: Instant, event: E, lane: Option<LaneId>) -> EventId {
         assert!(
             at >= self.now,
             "EventQueue::push: scheduling into the past ({at} < now {})",
@@ -268,8 +324,17 @@ impl<E> EventQueue<E> {
             }
         };
         let gen = self.slots[slot as usize].gen;
-        let entry = Entry { at, seq, slot };
-        if !self.push_to_lane(entry) {
+        let entry = Entry {
+            at,
+            seq,
+            slot,
+            lane: NO_LANE,
+        };
+        let queued = match lane {
+            Some(lane) => self.push_to_named_lane(lane, entry),
+            None => self.push_to_lane(entry),
+        };
+        if !queued {
             self.heap.push(entry);
         }
         let live = self.len() - self.cancelled;
@@ -286,7 +351,7 @@ impl<E> EventQueue<E> {
         if delay < self.min_lane_delay {
             return false;
         }
-        let Some(lane) = self.lanes.iter_mut().find(|lane| lane.delay == delay) else {
+        let Some(lane) = self.lanes.iter_mut().find(|lane| lane.delay == Some(delay)) else {
             return false;
         };
         if lane
@@ -299,6 +364,38 @@ impl<E> EventQueue<E> {
         lane.entries.push_back(entry);
         self.laned += 1;
         true
+    }
+
+    /// Append `entry` to named lane `id` if the lane stays sorted; the
+    /// front of an empty lane goes into the heap as well. Returns whether
+    /// it was appended.
+    fn push_to_named_lane(&mut self, id: LaneId, entry: Entry) -> bool {
+        let lane = &mut self.named[id.0 as usize];
+        match lane.entries.back() {
+            Some(tail) if tail.key() > entry.key() => return false,
+            Some(_) => self.laned += 1,
+            None => self.heap.push(Entry {
+                lane: id.0,
+                ..entry
+            }),
+        }
+        lane.entries.push_back(entry);
+        true
+    }
+
+    /// A named lane's front has left the heap: drop it from the lane and
+    /// move the lane's next entry, if any, into the heap in its place.
+    /// `lane` is the departed heap entry's [`Entry::lane`].
+    fn advance_named_lane(&mut self, lane: u32) {
+        if lane == NO_LANE {
+            return;
+        }
+        let entries = &mut self.named[lane as usize].entries;
+        entries.pop_front();
+        if let Some(&next) = entries.front() {
+            self.laned -= 1;
+            self.heap.push(Entry { lane, ..next });
+        }
     }
 
     /// Cancel a previously scheduled event. Idempotent; cancelling an event
@@ -367,7 +464,11 @@ impl<E> EventQueue<E> {
     /// Remove the entry at `head` and deliver its event.
     fn take(&mut self, head: Head) -> Option<(Instant, E)> {
         let entry = match head {
-            Head::Heap => self.heap.pop()?,
+            Head::Heap => {
+                let entry = self.heap.pop()?;
+                self.advance_named_lane(entry.lane);
+                entry
+            }
             Head::Lane(i) => {
                 let entry = self.lanes[i].entries.pop_front()?;
                 self.laned -= 1;
@@ -423,21 +524,34 @@ impl<E> EventQueue<E> {
     }
 
     /// Drop cancelled entries off the heap's top and re-key entries of
-    /// events rescheduled later, until the top is live and current.
+    /// events rescheduled later, until the top is live and current. A
+    /// named lane's front that is dropped or re-keyed leaves its lane.
     fn settle_heap(&mut self) -> Option<Entry> {
         loop {
             let mut top = self.heap.peek_mut()?;
             let slot = &self.slots[top.slot as usize];
-            if !slot.live {
-                let dead = PeekMut::pop(top);
-                self.cancelled -= 1;
-                self.release_slot(dead.slot);
-            } else if slot.seq != top.seq {
-                // Dropping the `PeekMut` sifts the re-keyed entry down.
-                top.at = slot.at;
-                top.seq = slot.seq;
-            } else {
+            let (live, at, seq) = (slot.live, slot.at, slot.seq);
+            if live && seq == top.seq {
                 return Some(*top);
+            }
+            if live && top.lane == NO_LANE {
+                // Dropping the `PeekMut` sifts the re-keyed entry down.
+                top.at = at;
+                top.seq = seq;
+                continue;
+            }
+            let stale = PeekMut::pop(top);
+            self.advance_named_lane(stale.lane);
+            if live {
+                self.heap.push(Entry {
+                    at,
+                    seq,
+                    lane: NO_LANE,
+                    ..stale
+                });
+            } else {
+                self.cancelled -= 1;
+                self.release_slot(stale.slot);
             }
         }
     }
@@ -473,7 +587,12 @@ impl<E> EventQueue<E> {
         }
         self.heap
             .iter()
-            .chain(self.lanes.iter().flat_map(|lane| lane.entries.iter()))
+            .chain(
+                self.lanes
+                    .iter()
+                    .chain(&self.named)
+                    .flat_map(|lane| lane.entries.iter()),
+            )
             .map(|e| &self.slots[e.slot as usize])
             .filter(|s| s.live)
             .map(|s| s.at)
@@ -869,6 +988,55 @@ mod tests {
         assert_eq!((q.len(), q.live_len(), q.peak_depth()), (4, 4, 4));
         while q.pop().is_some() {}
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn named_lane_holds_one_heap_entry_and_keeps_the_order() {
+        let mut q = EventQueue::new();
+        let link = q.add_named_lane();
+        for ms in [5, 7, 7, 9] {
+            q.push_on(link, Instant::from_millis(ms), ms);
+        }
+        q.push(Instant::from_millis(7), 70); // ties the lane at 7, pushed last
+        assert_eq!((q.heap.len(), q.laned, q.live_len()), (2, 3, 5));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, [5, 7, 7, 70, 9]);
+        assert_eq!((q.heap.len(), q.laned), (0, 0));
+        // An emptied lane takes its next push straight into the heap.
+        q.push_on(link, Instant::from_millis(12), 12);
+        assert_eq!((q.heap.len(), q.laned), (1, 0));
+        assert_eq!(q.pop(), Some((Instant::from_millis(12), 12)));
+    }
+
+    #[test]
+    fn out_of_order_named_push_falls_back_to_the_heap() {
+        let mut q = EventQueue::new();
+        let link = q.add_named_lane();
+        q.push_on(link, Instant::from_millis(20), "late");
+        q.push_on(link, Instant::from_millis(10), "early");
+        assert_eq!((q.heap.len(), q.laned), (2, 0), "early went to the heap");
+        assert_eq!(q.pop(), Some((Instant::from_millis(10), "early")));
+        assert_eq!(q.pop(), Some((Instant::from_millis(20), "late")));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn cancelled_and_rescheduled_named_fronts_leave_the_lane() {
+        let mut q = EventQueue::new();
+        let link = q.add_named_lane();
+        let a = q.push_on(link, Instant::from_millis(1), "a");
+        let b = q.push_on(link, Instant::from_millis(2), "b");
+        q.push_on(link, Instant::from_millis(3), "c");
+        q.cancel(a);
+        assert_eq!(q.reschedule(b, Instant::from_millis(5)), Some(b));
+        q.push(Instant::from_millis(4), "d");
+        assert_eq!(q.next_live_time(), Some(Instant::from_millis(3)));
+        assert_eq!(q.pop(), Some((Instant::from_millis(3), "c")));
+        assert_eq!(q.laned, 0, "b was re-seated untagged in the heap");
+        assert_eq!(q.pop(), Some((Instant::from_millis(4), "d")));
+        assert_eq!(q.pop(), Some((Instant::from_millis(5), "b")));
+        assert!(q.pop().is_none());
+        assert_eq!((q.delivered(), q.len()), (3, 0));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! * [`selection`] — multi-AP selection: NP-hardness (knapsack) and the
 //!   history-driven greedy heuristic.
 //! * [`metrics`] — §4.3's throughput/connectivity/disruption metrics.
+//! * [`packet`] — the typed IP packets (DHCP, TCP) that data frames carry.
 //! * [`report`] — flattened, serializable run summaries.
 //! * [`world`] — the deterministic event-driven world, one private module
 //!   per layer: `air` (medium, link budget, frame delivery, beacons,
@@ -37,6 +38,7 @@ pub mod fleet;
 pub mod history;
 pub mod intern;
 pub mod metrics;
+pub mod packet;
 pub mod report;
 pub mod selection;
 pub mod world;
@@ -46,6 +48,7 @@ pub use fleet::ClientCounters;
 pub use history::ApHistory;
 pub use intern::MacIntern;
 pub use metrics::Metrics;
+pub use packet::Packet;
 pub use report::{NonFiniteField, Quantiles, Report, ReportParseError, RunRecord};
 pub use selection::{select_aps, Candidate};
 pub use world::{

@@ -8,6 +8,7 @@ use wifi_mac::addr::MacAddr;
 use wifi_mac::channel::Channel;
 use wifi_mac::frame::{Frame, FrameBody};
 
+use crate::packet::Packet;
 use crate::selection::Candidate;
 
 use super::{Sched, World, HEARING_RADIUS_M};
@@ -21,17 +22,17 @@ pub(super) enum AirEvent {
     ToClient {
         client: usize,
         ap: usize,
-        frame: Frame,
+        frame: Frame<Packet>,
     },
     /// One broadcast transmission from AP `ap` reaches the antennas of
     /// `audience`, in ascending client order.
     Broadcast {
         audience: Vec<usize>,
         ap: usize,
-        frame: Frame,
+        frame: Frame<Packet>,
     },
     /// A frame from a client reaches AP `ap`.
-    ToAp { ap: usize, frame: Frame },
+    ToAp { ap: usize, frame: Frame<Packet> },
 }
 
 /// Frames older than this are dropped from a per-channel TX queue
@@ -93,26 +94,6 @@ impl World {
         self.distance_to(client, ap, now) <= HEARING_RADIUS_M
     }
 
-    /// Per-attempt frame error at `dist` for a `len`-byte frame, memoized
-    /// on the exact input bits of the two most recent keys (see the cache
-    /// fields' doc comment).
-    fn frame_error_at(&self, client: usize, dist: f64, len: usize) -> f64 {
-        let key = (dist.to_bits(), len as u32);
-        let cache = &self.clients[client].fep_cache;
-        let [recent, older] = cache.get();
-        match (recent, older) {
-            (Some((k, e)), _) if k == key => return e,
-            (_, Some((k, e))) if k == key => {
-                cache.set([older, recent]);
-                return e;
-            }
-            _ => {}
-        }
-        let e = self.cfg.phy.frame_error_prob(dist, len);
-        cache.set([Some((key, e)), recent]);
-        e
-    }
-
     /// RSSI at `dist`, memoized on the exact input bits.
     fn rssi_at(&self, client: usize, dist: f64) -> f64 {
         if let Some((d, rssi)) = self.clients[client].rssi_cache.get() {
@@ -130,19 +111,35 @@ impl World {
     /// The link budget of `frame` between `client` and an AP `dist`
     /// metres away: its airtime and its delivery probability. A data
     /// frame gets the 802.11 retry budget folded into an expected airtime
-    /// and a residual loss; a management frame is single-shot.
-    fn link_budget(&self, client: usize, dist: f64, frame: &Frame) -> (Duration, f64) {
+    /// and a residual loss; a management frame is single-shot. Memoized
+    /// on the exact input bits of the two most recent keys (see the cache
+    /// field's doc comment).
+    fn link_budget(&self, client: usize, dist: f64, frame: &Frame<Packet>) -> (Duration, f64) {
         let len = frame.wire_len();
-        let e = self.frame_error_at(client, dist, len);
+        let is_data = matches!(frame.body, FrameBody::Data(_));
+        let key = (dist.to_bits(), len as u32, is_data);
+        let cache = &self.clients[client].budget_cache;
+        let [recent, older] = cache.get();
+        match (recent, older) {
+            (Some((k, budget)), _) if k == key => return budget,
+            (_, Some((k, budget))) if k == key => {
+                cache.set([older, recent]);
+                return budget;
+            }
+            _ => {}
+        }
         let phy = &self.cfg.phy;
-        if matches!(frame.body, FrameBody::Data(_)) {
+        let e = phy.frame_error_prob(dist, len);
+        let budget = if is_data {
             (
                 phy.expected_data_airtime_from_error(e, len),
                 phy.data_delivery_prob_from_error(e),
             )
         } else {
             (phy.airtime(len), 1.0 - e)
-        }
+        };
+        cache.set([Some((key, budget)), recent]);
+        budget
     }
 
     /// The client owning a station address, via binary search over the
@@ -173,7 +170,7 @@ impl World {
         &mut self,
         client: usize,
         ap: usize,
-        frame: Frame,
+        frame: Frame<Packet>,
         sched: &mut Sched,
     ) {
         let now = sched.now;
@@ -216,7 +213,7 @@ impl World {
     pub(super) fn ap_send(
         &mut self,
         ap: usize,
-        frame: Frame,
+        frame: Frame<Packet>,
         extra_delay: Duration,
         sched: &mut Sched,
     ) {
@@ -259,7 +256,13 @@ impl World {
 
     /// A frame arrived at a client's antenna: deliverable only if that
     /// radio is tuned to the AP's channel and the PHY draw succeeds.
-    fn on_air_to_client(&mut self, client: usize, ap: usize, frame: &Frame, sched: &mut Sched) {
+    fn on_air_to_client(
+        &mut self,
+        client: usize,
+        ap: usize,
+        frame: &Frame<Packet>,
+        sched: &mut Sched,
+    ) {
         let now = sched.now;
         let channel = self.aps[ap].site.channel;
         if !self.clients[client].radio.can_hear(channel, now) {

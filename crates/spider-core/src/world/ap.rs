@@ -6,32 +6,59 @@
 use dhcp::message::DhcpMessage;
 use dhcp::server::{DhcpServer, DhcpServerConfig};
 use mobility::deployment::ApSite;
-use sim_engine::queue::EventId;
+use sim_engine::queue::{EventId, EventQueue, LaneId};
 use sim_engine::rng::Rng;
 use sim_engine::time::Duration;
-use sim_engine::wire::Bytes;
 use tcp_lite::connection::{BulkReceiver, BulkSender, SenderAction};
 use tcp_lite::segment::Segment;
 use wifi_mac::addr::MacAddr;
 use wifi_mac::ap::{ApAction, ApConfig, ApMac};
 use workload::shaper::SerialLink;
 
+use crate::packet::Packet;
+
 use super::join::IfaceTimer;
-use super::{unwrap_proto, Sched, World, PROTO_TCP, PROTO_UDP};
+use super::{Event, Sched, World};
 
 /// One AP node: MAC + DHCP server + backhaul + content server.
 pub(super) struct ApNode {
     pub(super) site: ApSite,
-    pub(super) mac: ApMac,
+    pub(super) mac: ApMac<Packet>,
     dhcp: DhcpServer,
     /// Server → AP pipe (the shaped backhaul).
-    pub(super) downlink: SerialLink,
+    pub(super) downlink: Backhaul,
     /// AP → server pipe for ACKs.
-    pub(super) uplink: SerialLink,
+    pub(super) uplink: Backhaul,
     /// Live content-server connections, sorted by connection id (ids are
     /// minted monotonically, so pushes keep the order). A handful at most
     /// per AP, so a linear scan beats an ordered map on the hot path.
     senders: Vec<ServerConn>,
+}
+
+/// One direction of an AP's backhaul: the shaped pipe and the named
+/// queue lane its arrivals ride. A `SerialLink` is FIFO with a fixed
+/// latency, so its arrivals come in increasing time and always join the
+/// lane's tail (see `sim_engine::queue`).
+pub(super) struct Backhaul {
+    pub(super) link: SerialLink,
+    lane: LaneId,
+}
+
+impl Backhaul {
+    fn new(site: &ApSite, latency: Duration, queue: &mut EventQueue<Event>) -> Backhaul {
+        Backhaul {
+            link: SerialLink::new(site.backhaul_bps, latency),
+            lane: queue.add_named_lane(),
+        }
+    }
+
+    /// Put `len` bytes on the pipe now and queue `event` for their
+    /// arrival; nothing is queued if the pipe's bounded queue drops them.
+    fn carry(&mut self, len: usize, event: ApEvent, sched: &mut Sched) {
+        if let Some(arrival) = self.link.transmit(sched.now, len) {
+            sched.queue.push_on(self.lane, arrival, event.into());
+        }
+    }
 }
 
 /// One content-server connection: its TCP sender and its one queued RTO.
@@ -45,7 +72,11 @@ struct ServerConn {
 }
 
 impl ApNode {
-    pub(super) fn new(site: &ApSite, backhaul_latency: Duration) -> ApNode {
+    pub(super) fn new(
+        site: &ApSite,
+        backhaul_latency: Duration,
+        queue: &mut EventQueue<Event>,
+    ) -> ApNode {
         let ssid = format!("open-{}", site.id);
         ApNode {
             site: site.clone(),
@@ -55,8 +86,8 @@ impl ApNode {
                 site.dhcp_delay_min,
                 site.dhcp_delay_max,
             )),
-            downlink: SerialLink::new(site.backhaul_bps, backhaul_latency),
-            uplink: SerialLink::new(site.backhaul_bps, backhaul_latency),
+            downlink: Backhaul::new(site, backhaul_latency, queue),
+            uplink: Backhaul::new(site, backhaul_latency, queue),
             senders: Vec::new(),
         }
     }
@@ -82,15 +113,15 @@ pub(super) enum ApEvent {
     /// queued timer of connection `conn` (see `ServerConn::rto`).
     SenderTimer { ap: usize, conn: u64 },
     /// A TCP segment from the server arrives at AP `ap`.
-    FromServer { ap: usize, payload: Bytes },
+    FromServer { ap: usize, seg: Segment },
     /// A client TCP segment (ACK) arrives at the server behind AP `ap`.
-    ToServer { ap: usize, payload: Bytes },
+    ToServer { ap: usize, seg: Segment },
     /// The AP's local DHCP server finished processing; deliver the reply
     /// into the AP's downlink path.
     DhcpReply {
         ap: usize,
         station: MacAddr,
-        payload: Bytes,
+        reply: DhcpMessage,
     },
 }
 
@@ -112,39 +143,27 @@ impl World {
                     self.tcp_rtos += 1;
                 }
             }
-            ApEvent::FromServer { ap, payload } => {
+            ApEvent::FromServer { ap, seg } => {
                 // A TCP segment for one of our clients: deliver it to the
                 // station its connection terminates at.
-                let Some(seg) = unwrap_proto(&payload).and_then(|(_, body)| Segment::decode(body))
-                else {
-                    return;
-                };
                 let Some((client, iface)) = self.conn_owner(seg.conn) else {
                     return;
                 };
                 let station = self.clients[client].ifaces[iface].addr;
                 self.with_ap_actions(ap, sched, |mac, _, out| {
-                    mac.deliver_downlink_into(station, payload, now, out)
+                    mac.deliver_downlink_into(station, Packet::Tcp(seg), now, out)
                 });
             }
-            ApEvent::ToServer { ap, payload } => {
-                // The payload still carries its protocol tag (kept to make
-                // the uplink enqueue copy-free); strip it here.
-                let Some(seg) = unwrap_proto(&payload).and_then(|(_, body)| Segment::decode(body))
-                else {
-                    return;
-                };
+            ApEvent::ToServer { ap, seg } => {
                 self.with_sender(ap, seg.conn, sched, |sender, out| {
                     sender.on_segment_into(&seg, now, out)
                 });
             }
-            ApEvent::DhcpReply {
-                ap,
-                station,
-                payload,
-            } => self.with_ap_actions(ap, sched, |mac, _, out| {
-                mac.deliver_downlink_into(station, payload, now, out)
-            }),
+            ApEvent::DhcpReply { ap, station, reply } => {
+                self.with_ap_actions(ap, sched, |mac, _, out| {
+                    mac.deliver_downlink_into(station, Packet::Dhcp(reply), now, out)
+                })
+            }
         }
     }
 
@@ -155,7 +174,7 @@ impl World {
         &mut self,
         ap: usize,
         sched: &mut Sched,
-        input: impl FnOnce(&mut ApMac, &mut Rng, &mut Vec<ApAction>),
+        input: impl FnOnce(&mut ApMac<Packet>, &mut Rng, &mut Vec<ApAction<Packet>>),
     ) {
         let mut actions = std::mem::take(&mut self.ap_actions_scratch);
         input(&mut self.aps[ap].mac, &mut self.rng_ap, &mut actions);
@@ -188,36 +207,26 @@ impl World {
         Some(out)
     }
 
-    /// An uplink payload arrived at the AP from the client: route by the
-    /// protocol tag.
-    fn handle_uplink(&mut self, ap: usize, station: MacAddr, payload: Bytes, sched: &mut Sched) {
+    /// An uplink packet arrived at the AP from the client: DHCP goes to
+    /// the AP's embedded server, TCP up the backhaul to the content
+    /// server.
+    fn handle_uplink(&mut self, ap: usize, station: MacAddr, packet: Packet, sched: &mut Sched) {
         let now = sched.now;
-        match unwrap_proto(&payload) {
-            Some((PROTO_UDP, body)) => {
-                // DHCP: handled by the AP's embedded server.
-                let Ok(msg) = DhcpMessage::decode(body) else {
-                    return;
-                };
+        match packet {
+            Packet::Dhcp(msg) => {
                 let node = &mut self.aps[ap];
                 if let Some((delay, reply)) = node.dhcp.on_message(&msg, now, &mut self.rng_ap) {
-                    let payload = self.tagged_payload(PROTO_UDP, |w| reply.encode_into(w));
-                    let reply = ApEvent::DhcpReply {
-                        ap,
-                        station,
-                        payload,
-                    };
-                    sched.after(delay, reply);
+                    sched.after(delay, ApEvent::DhcpReply { ap, station, reply });
                 }
             }
-            Some((PROTO_TCP, body)) => {
-                // ACK toward the content server: ride the uplink pipe. The
-                // event keeps the tagged payload (an O(1) Bytes clone); the
-                // handler strips the tag on arrival.
-                if let Some(arrival) = self.aps[ap].uplink.transmit(now, body.len()) {
-                    sched.at(arrival, ApEvent::ToServer { ap, payload });
-                }
+            Packet::Tcp(seg) => {
+                // The uplink charges the segment's encoded length (see
+                // `Segment::encoded_len`).
+                let len = seg.encoded_len();
+                self.aps[ap]
+                    .uplink
+                    .carry(len, ApEvent::ToServer { ap, seg }, sched);
             }
-            _ => {}
         }
     }
 
@@ -232,10 +241,8 @@ impl World {
             match action {
                 SenderAction::Transmit(seg) => {
                     let len = seg.wire_len() as usize;
-                    if let Some(arrival) = self.aps[ap].downlink.transmit(sched.now, len) {
-                        let payload = self.tagged_payload(PROTO_TCP, |w| seg.encode_into(w));
-                        sched.at(arrival, ApEvent::FromServer { ap, payload });
-                    }
+                    let event = ApEvent::FromServer { ap, seg };
+                    self.aps[ap].downlink.carry(len, event, sched);
                 }
                 SenderAction::ArmTimer { after } => {
                     let Some(c) = self.aps[ap].conn_mut(conn) else {
@@ -268,16 +275,17 @@ impl World {
         }
     }
 
-    /// The (client, iface) a live connection terminates at. Connection ids
-    /// are minted from one world counter, an interface holds one only
-    /// while Connected (`Iface::reset` clears it), and it never changes
-    /// AP while it holds one, so at most one interface matches and it is
-    /// bound to the AP whose sender owns the id.
+    /// The (client, iface) holding connection id `conn`, if any. Each id
+    /// is minted once, for one interface (`conn_owners`), and only
+    /// `open_connection` sets an interface's id, so no other interface
+    /// can hold it. That interface holds it until it opens its next
+    /// connection or is reset, which may be after the sender completed;
+    /// it never changes AP while it holds one, so it is bound to the AP
+    /// whose sender owns the id.
     fn conn_owner(&self, conn: u64) -> Option<(usize, usize)> {
-        self.clients.iter().enumerate().find_map(|(c, node)| {
-            let iface = node.ifaces.iter().position(|i| i.conn == Some(conn))?;
-            Some((c, iface))
-        })
+        let &(client, iface) = self.conn_owners.get(conn.checked_sub(1)? as usize)?;
+        let holds = self.clients[client].ifaces[iface].conn == Some(conn);
+        holds.then_some((client, iface))
     }
 
     /// Open a TCP connection for the plan's next object from the server
@@ -289,8 +297,8 @@ impl World {
         ap: usize,
         sched: &mut Sched,
     ) {
-        let conn = self.next_conn;
-        self.next_conn += 1;
+        let conn = self.conn_owners.len() as u64 + 1;
+        self.conn_owners.push((client, iface));
         let node = &mut self.clients[client];
         let isn = node.rng_misc.next_u64() as u32;
         let object = self

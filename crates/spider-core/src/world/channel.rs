@@ -8,6 +8,7 @@ use wifi_mac::channel::Channel;
 use wifi_mac::frame::Frame;
 
 use crate::config::SchedulePolicy;
+use crate::packet::Packet;
 
 use super::join::IfaceState;
 use super::{Sched, World};
@@ -43,10 +44,10 @@ impl World {
         &mut self,
         client: usize,
         channel: Channel,
-        announce: fn(MacAddr, MacAddr) -> Frame,
+        announce: fn(MacAddr, MacAddr) -> Frame<Packet>,
         sched: &mut Sched,
     ) -> usize {
-        let targets: Vec<(usize, Frame)> = self.clients[client]
+        let targets: Vec<(usize, Frame<Packet>)> = self.clients[client]
             .ifaces
             .iter()
             .filter(|i| i.state == IfaceState::Connected)

@@ -3,10 +3,8 @@
 //! driver's periodic evaluation that picks APs to join.
 
 use dhcp::client::{DhcpAction, DhcpClient, Lease};
-use dhcp::message::DhcpMessage;
 use sim_engine::queue::EventId;
 use sim_engine::time::{Duration, Instant};
-use sim_engine::wire::Writer;
 use tcp_lite::connection::{BulkReceiver, ReceiverAction};
 use tcp_lite::segment::Segment;
 use wifi_mac::addr::MacAddr;
@@ -14,9 +12,10 @@ use wifi_mac::client::{Action as MacAction, ClientMac, JoinConfig};
 use wifi_mac::frame::{Frame, FrameBody};
 
 use crate::config::SchedulePolicy;
+use crate::packet::Packet;
 use crate::selection::{select_aps, Candidate};
 
-use super::{unwrap_proto, Sched, World, PROTO_TCP, PROTO_UDP};
+use super::{Sched, World};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum IfaceState {
@@ -164,22 +163,14 @@ impl World {
             .and_then(|id| self.clients[client].scan[id].as_ref())
     }
 
-    /// Send a payload from interface `iface` to its AP as an uplink data
-    /// frame, behind the protocol tag `proto`.
-    fn send_uplink(
-        &mut self,
-        client: usize,
-        iface: usize,
-        proto: u8,
-        encode: impl FnOnce(&mut Writer),
-        sched: &mut Sched,
-    ) {
+    /// Send `packet` from interface `iface` to its AP as an uplink data
+    /// frame.
+    fn send_uplink(&mut self, client: usize, iface: usize, packet: Packet, sched: &mut Sched) {
         let slot = &self.clients[client].ifaces[iface];
         let (Some(ap), station) = (slot.ap, slot.addr) else {
             return;
         };
-        let payload = self.tagged_payload(proto, encode);
-        let frame = Frame::data_to_ap(station, self.aps[ap].mac.bssid(), payload);
+        let frame = Frame::data_to_ap(station, self.aps[ap].mac.bssid(), packet);
         self.client_send(client, ap, frame, sched);
     }
 
@@ -189,7 +180,7 @@ impl World {
         &mut self,
         client: usize,
         ap: usize,
-        frame: &Frame,
+        frame: &Frame<Packet>,
         sched: &mut Sched,
     ) {
         let ifaces = &mut self.clients[client].ifaces;
@@ -203,26 +194,21 @@ impl World {
         if frame.addr1 != slot.addr && !frame.addr1.is_broadcast() {
             return;
         }
-        let FrameBody::Data(payload) = &frame.body else {
+        let FrameBody::Data(packet) = &frame.body else {
             if let Some(mac) = slot.mac.as_mut() {
                 let actions = mac.handle_frame(frame);
                 self.process_mac_actions(client, iface, actions, sched);
             }
             return;
         };
-        match unwrap_proto(payload) {
-            Some((PROTO_UDP, body)) => {
-                if let (Ok(msg), Some(dhcp)) = (DhcpMessage::decode(body), slot.dhcp.as_mut()) {
-                    let actions = dhcp.handle_message(&msg, sched.now);
+        match packet {
+            Packet::Dhcp(msg) => {
+                if let Some(dhcp) = slot.dhcp.as_mut() {
+                    let actions = dhcp.handle_message(msg, sched.now);
                     self.process_dhcp_actions(client, iface, actions, sched);
                 }
             }
-            Some((PROTO_TCP, body)) => {
-                if let Some(seg) = Segment::decode(body) {
-                    self.on_client_segment(client, iface, seg, sched);
-                }
-            }
-            _ => {}
+            Packet::Tcp(seg) => self.on_client_segment(client, iface, seg, sched),
         }
     }
 
@@ -230,7 +216,7 @@ impl World {
         &mut self,
         client: usize,
         iface: usize,
-        actions: Vec<MacAction>,
+        actions: Vec<MacAction<Packet>>,
         sched: &mut Sched,
     ) {
         for action in actions {
@@ -295,9 +281,7 @@ impl World {
         let now = sched.now;
         for action in actions {
             match action {
-                DhcpAction::Send(msg) => {
-                    self.send_uplink(client, iface, PROTO_UDP, |w| msg.encode_into(w), sched)
-                }
+                DhcpAction::Send(msg) => self.send_uplink(client, iface, Packet::Dhcp(msg), sched),
                 DhcpAction::ArmTimer { after } => {
                     self.arm_iface_timer(client, iface, after, IfaceTimer::Dhcp, sched)
                 }
@@ -365,17 +349,17 @@ impl World {
         self.update_concurrency(sched.now);
     }
 
-    fn on_client_segment(&mut self, client: usize, iface: usize, seg: Segment, sched: &mut Sched) {
+    fn on_client_segment(&mut self, client: usize, iface: usize, seg: &Segment, sched: &mut Sched) {
         let now = sched.now;
         let Some(receiver) = self.clients[client].ifaces[iface].receiver.as_mut() else {
             return;
         };
         let mut actions = std::mem::take(&mut self.receiver_actions_scratch);
-        receiver.on_segment_into(&seg, now, &mut actions);
+        receiver.on_segment_into(seg, now, &mut actions);
         for action in actions.drain(..) {
             match action {
                 ReceiverAction::Transmit(ack) => {
-                    self.send_uplink(client, iface, PROTO_TCP, |w| ack.encode_into(w), sched)
+                    self.send_uplink(client, iface, Packet::Tcp(ack), sched)
                 }
                 ReceiverAction::Deliver { bytes } => {
                     self.metrics.record_bytes(now, bytes);

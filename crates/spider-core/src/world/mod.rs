@@ -31,9 +31,12 @@
 //! (the occupancy the `analytical::cell` offered-load model takes as
 //! `n`).
 //!
-//! Protocol discrimination on the data path uses a 1-byte IP-protocol tag
-//! (17 = UDP/DHCP, 6 = TCP) prefixed to payloads — the moral equivalent of
-//! the IP header's protocol field.
+//! The data path carries typed values end to end: a data frame's payload
+//! is a [`Packet`] (a DHCP message or a TCP segment), and the AP's
+//! power-save buffer, the per-channel TX queues and the backhaul events
+//! hold the message itself. Nothing is encoded or decoded per hop; the
+//! air charges each frame the length of the byte form it stands for
+//! (`Packet`'s `wire_len`).
 //!
 //! Deliberate simplification (see DESIGN.md): management frames are
 //! single-shot (no MAC ARQ), matching the paper's join model where each
@@ -58,7 +61,6 @@ use sim_engine::rng::Rng;
 use sim_engine::runner::{run_until, Handler};
 use sim_engine::stats::Samples;
 use sim_engine::time::{Duration, Instant};
-use sim_engine::wire::{Bytes, Writer};
 use tcp_lite::connection::{ReceiverAction, SenderAction};
 use tcp_lite::TcpConfig;
 use wifi_mac::addr::MacAddr;
@@ -74,6 +76,7 @@ use crate::fleet::{station_addr, ClientCounters, CLIENT_ADDR_STRIDE};
 use crate::history::ApHistory;
 use crate::intern::MacIntern;
 use crate::metrics::Metrics;
+use crate::packet::Packet;
 use crate::selection::Candidate;
 
 use air::{AirEvent, BEACON_REPOLL};
@@ -81,10 +84,6 @@ use ap::{ApEvent, ApNode};
 use channel::ChannelEvent;
 use join::{Iface, JoinEvent};
 use upkeep::MAINTENANCE_PERIOD;
-
-/// IP protocol numbers used as payload tags.
-const PROTO_UDP: u8 = 17;
-const PROTO_TCP: u8 = 6;
 
 /// Radius of a client's hearing disc: the APs whose beacons it is sent,
 /// and the APs the 1 Hz upkeep counts around it.
@@ -433,9 +432,9 @@ impl From<ChannelEvent> for Event {
     }
 }
 
-/// A frame-error cache entry: the `(distance bits, frame length)` key and
-/// the per-attempt frame error.
-type FepEntry = ((u64, u32), f64);
+/// A link-budget cache entry: the `(distance bits, frame length, is data)`
+/// key and the frame's `(airtime, delivery probability)`.
+type BudgetEntry = ((u64, u32, bool), (Duration, f64));
 
 /// One client of the fleet: motion, radio, virtual interfaces, join
 /// history, scan state, and private RNG streams: everything logically
@@ -459,22 +458,22 @@ struct ClientNode {
     /// Spider's per-channel transmit queues (§3): frames bound for an
     /// off-channel AP wait here and flush when the radio arrives.
     /// Indexed by [`Channel::index`]; buffers are reused across swaps.
-    tx_queues: [Vec<(Instant, usize, Frame)>; Channel::COUNT],
+    tx_queues: [Vec<(Instant, usize, Frame<Packet>)>; Channel::COUNT],
     /// Spare queue buffer swapped against `tx_queues` on channel switch so
     /// steady-state flushes never allocate.
-    tx_spare: Vec<(Instant, usize, Frame)>,
+    tx_spare: Vec<(Instant, usize, Frame<Packet>)>,
     /// Exact-key caches for the pure per-frame math. Keys are the full
-    /// bit patterns of the inputs, so a hit returns the *same* f64 the
+    /// bit patterns of the inputs, so a hit returns the *same* values the
     /// recomputation would — determinism-safe by construction. They earn
-    /// their keep because one delivered frame touches the same
-    /// `(distance, len)` several times in a single event (send airtime +
-    /// delivery probability, then the ACK it triggers at the same `now`).
-    /// The frame-error cache keeps the two most recent keys, most recent
-    /// first: a stationary client alternates data and ACK lengths at one
-    /// distance, which a one-entry cache misses each time the length
-    /// alternates.
+    /// their keep because one delivered frame's budget is asked for at
+    /// least twice (airtime when sent, delivery probability on arrival),
+    /// and a stationary client sends the same few frame lengths at one
+    /// distance all run long. The link-budget cache keeps the two most
+    /// recent keys, most recent first: a stationary client alternates
+    /// data and ACK lengths at one distance, which a one-entry cache
+    /// misses each time the length alternates.
     pos_cache: Cell<Option<(Instant, Point)>>,
-    fep_cache: Cell<[Option<FepEntry>; 2]>,
+    budget_cache: Cell<[Option<BudgetEntry>; 2]>,
     rssi_cache: Cell<Option<(u64, f64)>>,
     /// Private RNG streams, forked from the master with client-stable
     /// stream ids (see [`crate::fleet`]): PHY delivery draws, radio
@@ -527,18 +526,18 @@ struct World {
     /// seized. Shared by every client and AP: this is where fleet contention
     /// becomes endogenous.
     medium: [Instant; Channel::COUNT],
-    /// Reusable encode buffer for the payload-wrapping hot path.
-    scratch: Writer,
     /// Reusable per-event action buffers: the hot handlers `mem::take`
     /// one, let the protocol layer push into it, drain it, and put it
     /// back — steady state does zero action-Vec allocations per event.
-    ap_actions_scratch: Vec<ApAction>,
+    ap_actions_scratch: Vec<ApAction<Packet>>,
     sender_actions_scratch: Vec<SenderAction>,
     receiver_actions_scratch: Vec<ReceiverAction>,
     /// AP-side draws (DHCP server delays), in event order — shared
     /// infrastructure, deliberately *not* per client.
     rng_ap: Rng,
-    next_conn: u64,
+    /// The `(client, iface)` each connection id was minted for, indexed by
+    /// id − 1; the next id is one past the end.
+    conn_owners: Vec<(usize, usize)>,
     tcp_rtos: u64,
     air_drops: u64,
 }
@@ -555,10 +554,11 @@ impl World {
         let rng_radio = master.fork(3);
         let mut rng_misc = master.fork(4);
 
+        let mut queue = EventQueue::new();
         let aps: Vec<ApNode> = cfg
             .sites
             .iter()
-            .map(|site| ApNode::new(site, cfg.backhaul_latency))
+            .map(|site| ApNode::new(site, cfg.backhaul_latency, &mut queue))
             .collect();
         let bssids = MacIntern::build(aps.iter().map(|a| a.mac.bssid()));
 
@@ -571,7 +571,6 @@ impl World {
         };
         let n_clients = 1 + cfg.fleet.len();
 
-        let mut queue = EventQueue::new();
         for delay in lane_delays(&cfg, &aps) {
             queue.add_lane(delay);
         }
@@ -629,7 +628,7 @@ impl World {
                 tx_queues: std::array::from_fn(|_| Vec::new()),
                 tx_spare: Vec::new(),
                 pos_cache: Cell::new(None),
-                fep_cache: Cell::new([None; 2]),
+                budget_cache: Cell::new([None; 2]),
                 rssi_cache: Cell::new(None),
                 rng_phy: phy,
                 rng_radio: radio,
@@ -677,25 +676,15 @@ impl World {
             mover_cells,
             metrics: Metrics::new(),
             medium: [Instant::ZERO; Channel::COUNT],
-            scratch: Writer::with_capacity(256),
             ap_actions_scratch: Vec::new(),
             sender_actions_scratch: Vec::new(),
             receiver_actions_scratch: Vec::new(),
             rng_ap,
-            next_conn: 1,
+            conn_owners: Vec::new(),
             tcp_rtos: 0,
             air_drops: 0,
         };
         (world, queue)
-    }
-
-    /// Encode a payload behind the protocol tag `proto` in the world's
-    /// scratch buffer: one `Bytes` allocation, no intermediate vector.
-    fn tagged_payload(&mut self, proto: u8, encode: impl FnOnce(&mut Writer)) -> Bytes {
-        self.scratch.clear();
-        self.scratch.put_u8(proto);
-        encode(&mut self.scratch);
-        self.scratch.to_bytes()
     }
 
     fn result(mut self) -> RunResult {
@@ -704,7 +693,7 @@ impl World {
         let backhaul_drops: u64 = self
             .aps
             .iter()
-            .map(|a| a.downlink.drops() + a.uplink.drops())
+            .map(|a| a.downlink.link.drops() + a.uplink.link.drops())
             .sum();
         let psm_drops: u64 = self.aps.iter().map(|a| a.mac.counters().psm_dropped).sum();
         let unassociated_drops: u64 = self
@@ -768,15 +757,6 @@ impl Handler<Event> for World {
             Event::Channel(event) => self.handle_channel(event, sched),
             Event::Maintenance => self.maintenance(sched),
         }
-    }
-}
-
-/// Split a tagged payload into its protocol tag and body. Borrows — the
-/// per-frame hot path must not copy payloads just to look at them.
-fn unwrap_proto(payload: &[u8]) -> Option<(u8, &[u8])> {
-    match payload {
-        [proto, body @ ..] => Some((*proto, body)),
-        [] => None,
     }
 }
 

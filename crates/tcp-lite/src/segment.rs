@@ -1,11 +1,12 @@
 //! TCP segments as they travel through the simulated network.
 //!
 //! A segment carries real header fields (connection id, sequence/ack
-//! numbers, flags) through a compact wire encoding, but its payload is
+//! numbers, flags) and a compact simulation encoding, but its payload is
 //! *virtual*: only the length travels, since the experiments measure bytes
-//! and timing, never content. [`Segment::wire_len`] accounts for the full
-//! IP + TCP + payload size so airtime and backhaul serialization are
-//! charged correctly.
+//! and timing, never content. Two lengths exist, and links charge
+//! different ones: [`Segment::wire_len`] is the full IP + TCP + payload
+//! size, and [`Segment::encoded_len`] is the size of the compact encoding.
+//! Each one's doc names the links that charge it.
 
 use core::fmt;
 use sim_engine::wire::{Bytes, Reader, Writer};
@@ -81,14 +82,40 @@ impl Segment {
         self.seq + self.seq_len()
     }
 
-    /// Bytes this segment occupies on a link (headers + virtual payload).
+    /// Bytes this segment would occupy on a real link: IP and TCP headers
+    /// plus the virtual payload.
+    ///
+    /// In the world simulation only the downlink backhaul (server to AP)
+    /// charges this length. The air and the uplink backhaul charge
+    /// [`Segment::encoded_len`] instead.
     pub fn wire_len(&self) -> u32 {
         HEADER_OVERHEAD + self.len
     }
 
-    /// Encode to the compact simulation wire format (25 bytes).
+    /// Bytes of the compact simulation encoding ([`Segment::encode`]):
+    /// 32 fixed, plus 8 per SACK block and 8 for a timestamp echo.
+    /// Computed without encoding.
+    ///
+    /// This, not [`Segment::wire_len`], is what the world simulation
+    /// charges a segment in two places, both kept as they are so that
+    /// recorded runs stay comparable:
+    ///
+    /// * the air, which charges a TCP data frame for its 1-byte protocol
+    ///   tag plus this encoding. A 1460-byte data segment goes on the air
+    ///   as a 65-byte frame, not a 1525-byte one, so it takes about a
+    ///   third of the airtime and sees a far lower frame error than the
+    ///   segment it stands for;
+    /// * the uplink backhaul (AP to server), which charges an ACK this
+    ///   length, where the downlink charges [`Segment::wire_len`].
+    pub fn encoded_len(&self) -> usize {
+        let blocks = self.sack.iter().flatten().count();
+        32 + 8 * blocks + if self.ts_echo_us.is_some() { 8 } else { 0 }
+    }
+
+    /// Encode to the compact simulation wire format
+    /// ([`Segment::encoded_len`] bytes).
     pub fn encode(&self) -> Bytes {
-        let mut buf = Writer::with_capacity(48);
+        let mut buf = Writer::with_capacity(self.encoded_len());
         self.encode_into(&mut buf);
         buf.freeze()
     }
@@ -211,6 +238,7 @@ mod tests {
             with_sack,
         ];
         for s in cases {
+            assert_eq!(s.encode().len(), s.encoded_len());
             assert_eq!(Segment::decode(&s.encode()), Some(s));
         }
     }

@@ -19,7 +19,9 @@ use sim_engine::wire::Bytes;
 
 use crate::addr::MacAddr;
 use crate::channel::Channel;
-use crate::frame::{Frame, FrameBody, Ssid, REASON_INACTIVITY, STATUS_AP_FULL, STATUS_SUCCESS};
+use crate::frame::{
+    BeaconBody, Frame, FrameBody, Payload, Ssid, REASON_INACTIVITY, STATUS_AP_FULL, STATUS_SUCCESS,
+};
 
 /// AP parameters.
 #[derive(Debug, Clone)]
@@ -73,35 +75,35 @@ impl ApConfig {
 
 /// Per-station association state.
 #[derive(Debug, Clone)]
-struct StationEntry {
+struct StationEntry<P> {
     aid: u16,
     /// Station announced power-save mode; buffer downlink frames.
     psm: bool,
     /// `(enqueued_at, payload)` pairs awaiting delivery.
-    buffer: VecDeque<(Instant, Bytes)>,
+    buffer: VecDeque<(Instant, P)>,
     /// Insertion point for rebuffered in-flight frames, so a run of them
     /// keeps its original order ahead of backhaul-buffered frames.
     rebuffer_cursor: usize,
     last_seen: Instant,
 }
 
-/// Output of the AP machine.
+/// Output of the AP machine; `P` is the data payload (see [`Payload`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ApAction {
+pub enum ApAction<P = Bytes> {
     /// Transmit `frame` after `delay` (management processing time; zero for
     /// data-path frames).
     Send {
         /// Processing delay before the frame hits the air.
         delay: Duration,
         /// The frame to transmit.
-        frame: Frame,
+        frame: Frame<P>,
     },
     /// An uplink payload from an associated station, for the backhaul.
     ToUplink {
         /// Originating station.
         from: MacAddr,
         /// The payload (an IP packet in this workspace).
-        payload: Bytes,
+        payload: P,
     },
 }
 
@@ -122,19 +124,20 @@ pub struct ApCounters {
     pub assocs_refused: u64,
 }
 
-/// The access-point MAC state machine.
+/// The access-point MAC state machine, buffering and forwarding data
+/// payloads of type `P` (see [`Payload`]).
 #[derive(Debug, Clone)]
-pub struct ApMac {
+pub struct ApMac<P = Bytes> {
     config: ApConfig,
-    stations: BTreeMap<MacAddr, StationEntry>,
+    stations: BTreeMap<MacAddr, StationEntry<P>>,
     next_aid: u16,
     seq: u16,
     counters: ApCounters,
 }
 
-impl ApMac {
+impl<P: Payload> ApMac<P> {
     /// A new AP with no associated stations.
-    pub fn new(config: ApConfig) -> ApMac {
+    pub fn new(config: ApConfig) -> ApMac<P> {
         ApMac {
             config,
             stations: BTreeMap::new(),
@@ -193,7 +196,7 @@ impl ApMac {
         rng.duration_between(self.config.proc_delay_min, self.config.proc_delay_max)
     }
 
-    fn send_mgmt(&mut self, mut frame: Frame, rng: &mut Rng) -> ApAction {
+    fn send_mgmt(&mut self, mut frame: Frame<P>, rng: &mut Rng) -> ApAction<P> {
         frame.seq = self.next_seq();
         ApAction::Send {
             delay: self.proc_delay(rng),
@@ -201,7 +204,7 @@ impl ApMac {
         }
     }
 
-    fn send_data(&mut self, mut frame: Frame) -> ApAction {
+    fn send_data(&mut self, mut frame: Frame<P>) -> ApAction<P> {
         frame.seq = self.next_seq();
         ApAction::Send {
             delay: Duration::ZERO,
@@ -211,13 +214,11 @@ impl ApMac {
 
     /// The periodic beacon; callers schedule this every
     /// `config.beacon_interval`.
-    pub fn beacon(&mut self, now: Instant) -> Frame {
-        let mut f = Frame::beacon(
-            self.config.bssid,
-            self.config.ssid.clone(),
-            self.config.channel,
-            now.as_micros(),
-        );
+    pub fn beacon(&mut self, now: Instant) -> Frame<P> {
+        let config = &self.config;
+        let body = BeaconBody::advertising(config.ssid.clone(), config.channel, now.as_micros());
+        let bssid = config.bssid;
+        let mut f = Frame::new(MacAddr::BROADCAST, bssid, bssid, FrameBody::Beacon(body));
         f.seq = self.next_seq();
         f
     }
@@ -236,7 +237,7 @@ impl ApMac {
 
     /// Process a received frame at `now`. Frames not addressed to this BSS
     /// produce no actions.
-    pub fn on_frame(&mut self, frame: &Frame, now: Instant, rng: &mut Rng) -> Vec<ApAction> {
+    pub fn on_frame(&mut self, frame: &Frame<P>, now: Instant, rng: &mut Rng) -> Vec<ApAction<P>> {
         let mut out = Vec::new();
         self.on_frame_into(frame, now, rng, &mut out);
         out
@@ -246,10 +247,10 @@ impl ApMac {
     /// the per-event hot path reuses one allocation across frames.
     pub fn on_frame_into(
         &mut self,
-        frame: &Frame,
+        frame: &Frame<P>,
         now: Instant,
         rng: &mut Rng,
-        out: &mut Vec<ApAction>,
+        out: &mut Vec<ApAction<P>>,
     ) {
         let me = self.config.bssid;
         // Probe requests are accepted broadcast or directed; everything else
@@ -365,13 +366,13 @@ impl ApMac {
         }
     }
 
-    fn flush_buffer_into(&mut self, station: MacAddr, now: Instant, out: &mut Vec<ApAction>) {
+    fn flush_buffer_into(&mut self, station: MacAddr, now: Instant, out: &mut Vec<ApAction<P>>) {
         let max_age = self.config.psm_frame_max_age;
         let Some(entry) = self.stations.get_mut(&station) else {
             return;
         };
         entry.rebuffer_cursor = 0;
-        let mut drained: Vec<Bytes> = Vec::with_capacity(entry.buffer.len());
+        let mut drained: Vec<P> = Vec::with_capacity(entry.buffer.len());
         for (at, payload) in entry.buffer.drain(..) {
             if now.saturating_since(at) > max_age {
                 self.counters.psm_expired += 1;
@@ -395,7 +396,7 @@ impl ApMac {
     /// channel, and the PM bit routes it back to the PS queue instead of
     /// the floor. Returns `false` (frame dropped) if the station is not
     /// associated, not in PSM, or the buffer is full.
-    pub fn rebuffer_front(&mut self, station: MacAddr, payload: Bytes, now: Instant) -> bool {
+    pub fn rebuffer_front(&mut self, station: MacAddr, payload: P, now: Instant) -> bool {
         let cap = self.config.psm_buffer_frames;
         let Some(entry) = self.stations.get_mut(&station) else {
             self.counters.unassociated_drops += 1;
@@ -418,9 +419,9 @@ impl ApMac {
     pub fn deliver_downlink(
         &mut self,
         station: MacAddr,
-        payload: Bytes,
+        payload: P,
         now: Instant,
-    ) -> Vec<ApAction> {
+    ) -> Vec<ApAction<P>> {
         let mut out = Vec::new();
         self.deliver_downlink_into(station, payload, now, &mut out);
         out
@@ -431,9 +432,9 @@ impl ApMac {
     pub fn deliver_downlink_into(
         &mut self,
         station: MacAddr,
-        payload: Bytes,
+        payload: P,
         now: Instant,
-        out: &mut Vec<ApAction>,
+        out: &mut Vec<ApAction<P>>,
     ) {
         let psm_cap = self.config.psm_buffer_frames;
         let me = self.config.bssid;
@@ -458,7 +459,7 @@ impl ApMac {
     /// Expire associations idle past `idle_timeout`; returns deauth frames
     /// to transmit (which mostly won't reach a long-gone vehicle, but keep
     /// the table tidy).
-    pub fn expire_idle(&mut self, now: Instant) -> Vec<ApAction> {
+    pub fn expire_idle(&mut self, now: Instant) -> Vec<ApAction<P>> {
         let timeout = self.config.idle_timeout;
         // `stations` is a BTreeMap, so this iteration — and therefore the
         // downstream deauth event order — is already sorted by MacAddr; the

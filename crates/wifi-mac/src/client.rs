@@ -14,6 +14,7 @@
 //! not to the whole join — see the paper's footnote 1.
 
 use sim_engine::time::{Duration, Instant};
+use sim_engine::wire::Bytes;
 
 use crate::addr::MacAddr;
 use crate::frame::{Frame, FrameBody, Ssid, STATUS_SUCCESS};
@@ -71,11 +72,13 @@ pub enum JoinFailure {
     Refused(u16),
 }
 
-/// Output of the state machine: things the caller must do.
+/// Output of the state machine: things the caller must do. `P` is the
+/// data payload type of the frames it sends (which are all management
+/// frames; see [`crate::frame::Payload`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Action {
+pub enum Action<P = Bytes> {
     /// Transmit this frame (subject to the radio being on-channel).
-    Send(Frame),
+    Send(Frame<P>),
     /// Arm the response timer: call [`ClientMac::handle_timer`] once
     /// `after` elapses. The caller keeps at most one expiry queued per
     /// machine, and a re-arm replaces it; an expiry in a state that awaits
@@ -104,7 +107,9 @@ enum State {
     Failed,
 }
 
-/// The client-side join machine. See the module docs.
+/// The client-side join machine. See the module docs. It sends and
+/// reads only management frames, so each method that takes or returns
+/// frames works with frames of any data payload type `P`.
 #[derive(Debug, Clone)]
 pub struct ClientMac {
     station: MacAddr,
@@ -177,13 +182,13 @@ impl ClientMac {
         self.seq
     }
 
-    fn arm(&self) -> Action {
+    fn arm<P>(&self) -> Action<P> {
         Action::ArmTimer {
             after: self.config.link_layer_timeout,
         }
     }
 
-    fn send(&mut self, mut frame: Frame) -> Action {
+    fn send<P>(&mut self, mut frame: Frame<P>) -> Action<P> {
         frame.seq = self.next_seq();
         Action::Send(frame)
     }
@@ -192,7 +197,7 @@ impl ClientMac {
     ///
     /// # Panics
     /// Panics if already associated; disassociate first.
-    pub fn start(&mut self, now: Instant) -> Vec<Action> {
+    pub fn start<P>(&mut self, now: Instant) -> Vec<Action<P>> {
         assert!(
             !self.is_associated(),
             "ClientMac::start while associated to {}",
@@ -218,7 +223,7 @@ impl ClientMac {
 
     /// Tear down the association (or abandon the join). Returns the
     /// disassociation frame to transmit when previously associated.
-    pub fn disassociate(&mut self) -> Vec<Action> {
+    pub fn disassociate<P>(&mut self) -> Vec<Action<P>> {
         let was_associated = self.is_associated();
         self.state = State::Idle;
         self.started_at = None;
@@ -239,7 +244,7 @@ impl ClientMac {
 
     /// Feed a received frame. Frames not from our AP or not addressed to us
     /// are ignored (return no actions).
-    pub fn handle_frame(&mut self, frame: &Frame) -> Vec<Action> {
+    pub fn handle_frame<P>(&mut self, frame: &Frame<P>) -> Vec<Action<P>> {
         if frame.addr2 != self.bssid || !frame.is_for(self.station) {
             return Vec::new();
         }
@@ -283,7 +288,7 @@ impl ClientMac {
 
     /// Feed the expiry of the timer last armed. Ignored unless a
     /// handshake phase is waiting for a response.
-    pub fn handle_timer(&mut self) -> Vec<Action> {
+    pub fn handle_timer<P>(&mut self) -> Vec<Action<P>> {
         let max = self.config.attempts_per_phase;
         match self.state {
             State::Probing { attempt } => {
@@ -331,7 +336,7 @@ impl ClientMac {
         }
     }
 
-    fn fail(&mut self, phase: JoinPhase) -> Vec<Action> {
+    fn fail<P>(&mut self, phase: JoinPhase) -> Vec<Action<P>> {
         self.state = State::Failed;
         vec![Action::Failed(JoinFailure::Timeout(phase))]
     }
@@ -359,17 +364,17 @@ mod tests {
     /// Walk a machine through the full successful handshake; returns the AID.
     fn complete_join(m: &mut ClientMac) -> u16 {
         let t0 = Instant::ZERO;
-        let acts = m.start(t0);
+        let acts: Vec<Action> = m.start(t0);
         assert!(matches!(acts[0], Action::Send(_)));
         if m.config.use_probe {
-            let resp = Frame::probe_response(ap(), sta(), ssid(), Channel::CH1, 0);
+            let resp: Frame = Frame::probe_response(ap(), sta(), ssid(), Channel::CH1, 0);
             let acts = m.handle_frame(&resp);
             assert!(matches!(&acts[0], Action::Send(f) if f.body.kind() == "auth-req"));
         }
-        let auth = Frame::auth_response(ap(), sta(), STATUS_SUCCESS);
+        let auth: Frame = Frame::auth_response(ap(), sta(), STATUS_SUCCESS);
         let acts = m.handle_frame(&auth);
         assert!(matches!(&acts[0], Action::Send(f) if f.body.kind() == "assoc-req"));
-        let assoc = Frame::assoc_response(ap(), sta(), STATUS_SUCCESS, 7);
+        let assoc: Frame = Frame::assoc_response(ap(), sta(), STATUS_SUCCESS, 7);
         let acts = m.handle_frame(&assoc);
         assert_eq!(acts, vec![Action::Joined { aid: 7 }]);
         7
@@ -396,7 +401,7 @@ mod tests {
     #[test]
     fn start_sends_directed_probe() {
         let mut m = machine(JoinConfig::default());
-        let acts = m.start(Instant::ZERO);
+        let acts: Vec<Action> = m.start(Instant::ZERO);
         match &acts[0] {
             Action::Send(f) => {
                 assert_eq!(f.addr1, ap());
@@ -413,11 +418,11 @@ mod tests {
             attempts_per_phase: 3,
             ..JoinConfig::default()
         });
-        let acts = m.start(Instant::ZERO);
+        let acts: Vec<Action> = m.start(Instant::ZERO);
         assert!(matches!(acts[1], Action::ArmTimer { .. }), "no timer armed");
         // Two retries…
         for _ in 0..2 {
-            let acts = m.handle_timer();
+            let acts: Vec<Action> = m.handle_timer();
             assert!(matches!(&acts[0], Action::Send(f) if f.retry));
             assert!(
                 matches!(acts[1], Action::ArmTimer { .. }),
@@ -425,7 +430,7 @@ mod tests {
             );
         }
         // …third expiry exhausts the budget.
-        let acts = m.handle_timer();
+        let acts: Vec<Action> = m.handle_timer();
         assert_eq!(
             acts,
             vec![Action::Failed(JoinFailure::Timeout(JoinPhase::Probe))]
@@ -436,21 +441,21 @@ mod tests {
     #[test]
     fn timer_ignored_unless_waiting() {
         let mut m = machine(JoinConfig::default());
-        assert!(m.handle_timer().is_empty(), "idle");
+        assert!(m.handle_timer::<Bytes>().is_empty(), "idle");
         complete_join(&mut m);
-        assert!(m.handle_timer().is_empty(), "associated");
+        assert!(m.handle_timer::<Bytes>().is_empty(), "associated");
         assert!(m.is_associated());
         let mut m = machine(JoinConfig {
             use_probe: false,
             ..JoinConfig::default()
         });
-        m.start(Instant::ZERO);
-        m.handle_frame(&Frame::auth_response(
+        m.start::<Bytes>(Instant::ZERO);
+        m.handle_frame(&Frame::<Bytes>::auth_response(
             ap(),
             sta(),
             crate::frame::STATUS_FAILURE,
         ));
-        assert!(m.handle_timer().is_empty(), "failed");
+        assert!(m.handle_timer::<Bytes>().is_empty(), "failed");
         assert!(m.has_failed());
     }
 
@@ -460,8 +465,8 @@ mod tests {
             use_probe: false,
             ..JoinConfig::default()
         });
-        m.start(Instant::ZERO);
-        let refusal = Frame::auth_response(ap(), sta(), crate::frame::STATUS_FAILURE);
+        m.start::<Bytes>(Instant::ZERO);
+        let refusal: Frame = Frame::auth_response(ap(), sta(), crate::frame::STATUS_FAILURE);
         let acts = m.handle_frame(&refusal);
         assert_eq!(
             acts,
@@ -477,9 +482,9 @@ mod tests {
             use_probe: false,
             ..JoinConfig::default()
         });
-        m.start(Instant::ZERO);
-        m.handle_frame(&Frame::auth_response(ap(), sta(), STATUS_SUCCESS));
-        let resp = Frame::assoc_response(ap(), sta(), crate::frame::STATUS_AP_FULL, 0);
+        m.start::<Bytes>(Instant::ZERO);
+        m.handle_frame(&Frame::<Bytes>::auth_response(ap(), sta(), STATUS_SUCCESS));
+        let resp: Frame = Frame::assoc_response(ap(), sta(), crate::frame::STATUS_AP_FULL, 0);
         let acts = m.handle_frame(&resp);
         assert_eq!(
             acts,
@@ -495,8 +500,8 @@ mod tests {
             use_probe: false,
             ..JoinConfig::default()
         });
-        m.start(Instant::ZERO);
-        let other = Frame::auth_response(MacAddr::ap(99), sta(), STATUS_SUCCESS);
+        m.start::<Bytes>(Instant::ZERO);
+        let other: Frame = Frame::auth_response(MacAddr::ap(99), sta(), STATUS_SUCCESS);
         assert!(m.handle_frame(&other).is_empty());
         assert!(m.is_joining());
     }
@@ -507,8 +512,8 @@ mod tests {
             use_probe: false,
             ..JoinConfig::default()
         });
-        m.start(Instant::ZERO);
-        let other = Frame::auth_response(ap(), MacAddr::local(99), STATUS_SUCCESS);
+        m.start::<Bytes>(Instant::ZERO);
+        let other: Frame = Frame::auth_response(ap(), MacAddr::local(99), STATUS_SUCCESS);
         assert!(m.handle_frame(&other).is_empty());
     }
 
@@ -516,11 +521,11 @@ mod tests {
     fn disassociate_sends_notice_and_resets() {
         let mut m = machine(JoinConfig::default());
         complete_join(&mut m);
-        let acts = m.disassociate();
+        let acts: Vec<Action> = m.disassociate();
         assert!(matches!(&acts[0], Action::Send(f) if f.body.kind() == "disassoc"));
         assert!(!m.is_associated());
         // Restartable.
-        let acts = m.start(Instant::from_secs(1));
+        let acts: Vec<Action> = m.start(Instant::from_secs(1));
         assert!(!acts.is_empty());
     }
 
@@ -528,7 +533,7 @@ mod tests {
     fn deauth_from_ap_drops_association() {
         let mut m = machine(JoinConfig::default());
         complete_join(&mut m);
-        let deauth = Frame::new(
+        let deauth: Frame = Frame::new(
             sta(),
             ap(),
             ap(),
@@ -545,7 +550,7 @@ mod tests {
     fn duplicate_assoc_resp_is_ignored_when_associated() {
         let mut m = machine(JoinConfig::default());
         complete_join(&mut m);
-        let dup = Frame::assoc_response(ap(), sta(), STATUS_SUCCESS, 7);
+        let dup: Frame = Frame::assoc_response(ap(), sta(), STATUS_SUCCESS, 7);
         assert!(m.handle_frame(&dup).is_empty());
     }
 
@@ -554,14 +559,14 @@ mod tests {
     fn start_while_associated_panics() {
         let mut m = machine(JoinConfig::default());
         complete_join(&mut m);
-        m.start(Instant::from_secs(2));
+        m.start::<Bytes>(Instant::from_secs(2));
     }
 
     #[test]
     fn join_started_at_tracked() {
         let mut m = machine(JoinConfig::default());
         let t = Instant::from_millis(1234);
-        m.start(t);
+        m.start::<Bytes>(t);
         assert_eq!(m.join_started_at(), Some(t));
     }
 
@@ -571,12 +576,12 @@ mod tests {
             use_probe: false,
             ..JoinConfig::default()
         });
-        let a1 = m.start(Instant::ZERO);
+        let a1: Vec<Action> = m.start(Instant::ZERO);
         let s1 = match &a1[0] {
             Action::Send(f) => f.seq,
             _ => panic!(),
         };
-        let a2 = m.handle_frame(&Frame::auth_response(ap(), sta(), STATUS_SUCCESS));
+        let a2 = m.handle_frame(&Frame::<Bytes>::auth_response(ap(), sta(), STATUS_SUCCESS));
         let s2 = match &a2[0] {
             Action::Send(f) => f.seq,
             _ => panic!(),

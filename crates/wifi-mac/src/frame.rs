@@ -16,6 +16,11 @@
 //! their genuine short headers (PS-Poll carries the association id in the
 //! duration field; ACK has only a receiver address). FCS is not carried —
 //! frame loss is the PHY model's job, not a checksum's.
+//!
+//! A data frame's payload is a type parameter bounded by [`Payload`]: the
+//! frame needs only its wire length (for airtime) and, for the byte codec,
+//! its encoding. It defaults to raw [`Bytes`]; a simulator that routes
+//! typed packets supplies its own type and never encodes on the hot path.
 
 use core::fmt;
 use sim_engine::wire::{Bytes, Reader, WireError, Writer};
@@ -178,6 +183,20 @@ pub struct BeaconBody {
     pub channel: Channel,
 }
 
+impl BeaconBody {
+    /// What an open AP advertises: the ESS capability and the ubiquitous
+    /// 100 TU (102.4 ms) beacon interval.
+    pub fn advertising(ssid: Ssid, channel: Channel, timestamp_us: u64) -> BeaconBody {
+        BeaconBody {
+            timestamp_us,
+            interval_tu: 100,
+            capability: capability::ESS,
+            ssid,
+            channel,
+        }
+    }
+}
+
 /// Body of an authentication frame (open system only).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuthBody {
@@ -211,9 +230,31 @@ pub struct AssocRespBody {
     pub aid: u16,
 }
 
-/// The typed payload of a frame.
+/// What a data frame carries. Airtime is charged for
+/// [`Payload::wire_len`] bytes, so it must equal the number of bytes
+/// [`Payload::encode_into`] appends; the encoding exists for the byte
+/// codec ([`Frame::encode`]), not for the simulation's data path.
+pub trait Payload: Clone {
+    /// Bytes the payload occupies in a data frame.
+    fn wire_len(&self) -> usize;
+    /// Append exactly [`Payload::wire_len`] bytes of encoding.
+    fn encode_into(&self, buf: &mut Writer);
+}
+
+/// Raw octets: the payload [`Frame::decode`] produces.
+impl Payload for Bytes {
+    fn wire_len(&self) -> usize {
+        self.len()
+    }
+
+    fn encode_into(&self, buf: &mut Writer) {
+        buf.put_slice(self);
+    }
+}
+
+/// The typed body of a frame; `P` is the data payload (see [`Payload`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameBody {
+pub enum FrameBody<P = Bytes> {
     /// Periodic AP advertisement.
     Beacon(BeaconBody),
     /// Active-scan solicitation (body carries the sought SSID).
@@ -239,8 +280,8 @@ pub enum FrameBody {
         /// Reason code.
         reason: u16,
     },
-    /// A data frame with an opaque payload (an IP packet in this workspace).
-    Data(Bytes),
+    /// A data frame (an IP packet in this workspace).
+    Data(P),
     /// Null-data frame: no payload, exists to carry the power-management
     /// bit. Spider sends one with `power_mgmt = true` to every associated AP
     /// on a channel right before switching away.
@@ -254,7 +295,7 @@ pub enum FrameBody {
     Ack,
 }
 
-impl FrameBody {
+impl<P> FrameBody<P> {
     fn type_subtype(&self) -> (u8, u8) {
         match self {
             FrameBody::AssocReq(_) => (ftype::MGMT, subtype::ASSOC_REQ),
@@ -299,7 +340,7 @@ impl FrameBody {
 /// on the wire; on decode the missing fields are filled from the present
 /// ones (documented on [`Frame::decode`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
+pub struct Frame<P = Bytes> {
     /// Receiver address.
     pub addr1: MacAddr,
     /// Transmitter address.
@@ -321,13 +362,13 @@ pub struct Frame {
     pub to_ds: bool,
     /// From-DS bit (distribution system → station).
     pub from_ds: bool,
-    /// Typed payload.
-    pub body: FrameBody,
+    /// Typed body.
+    pub body: FrameBody<P>,
 }
 
-impl Frame {
+impl<P> Frame<P> {
     /// Base constructor with flag defaults; prefer the specific helpers.
-    pub fn new(addr1: MacAddr, addr2: MacAddr, addr3: MacAddr, body: FrameBody) -> Frame {
+    pub fn new(addr1: MacAddr, addr2: MacAddr, addr3: MacAddr, body: FrameBody<P>) -> Frame<P> {
         Frame {
             addr1,
             addr2,
@@ -343,24 +384,8 @@ impl Frame {
         }
     }
 
-    /// A broadcast beacon from `bssid`.
-    pub fn beacon(bssid: MacAddr, ssid: Ssid, channel: Channel, timestamp_us: u64) -> Frame {
-        Frame::new(
-            MacAddr::BROADCAST,
-            bssid,
-            bssid,
-            FrameBody::Beacon(BeaconBody {
-                timestamp_us,
-                interval_tu: 100, // the ubiquitous 102.4 ms default
-                capability: capability::ESS,
-                ssid,
-                channel,
-            }),
-        )
-    }
-
     /// A broadcast (wildcard) probe request from `station`.
-    pub fn probe_request(station: MacAddr) -> Frame {
+    pub fn probe_request(station: MacAddr) -> Frame<P> {
         Frame::new(
             MacAddr::BROADCAST,
             station,
@@ -378,23 +403,13 @@ impl Frame {
         ssid: Ssid,
         channel: Channel,
         timestamp_us: u64,
-    ) -> Frame {
-        Frame::new(
-            station,
-            bssid,
-            bssid,
-            FrameBody::ProbeResp(BeaconBody {
-                timestamp_us,
-                interval_tu: 100,
-                capability: capability::ESS,
-                ssid,
-                channel,
-            }),
-        )
+    ) -> Frame<P> {
+        let body = BeaconBody::advertising(ssid, channel, timestamp_us);
+        Frame::new(station, bssid, bssid, FrameBody::ProbeResp(body))
     }
 
     /// An open-system authentication request from `station` to `bssid`.
-    pub fn auth_request(station: MacAddr, bssid: MacAddr) -> Frame {
+    pub fn auth_request(station: MacAddr, bssid: MacAddr) -> Frame<P> {
         Frame::new(
             bssid,
             station,
@@ -408,7 +423,7 @@ impl Frame {
     }
 
     /// The AP's authentication response.
-    pub fn auth_response(bssid: MacAddr, station: MacAddr, status: u16) -> Frame {
+    pub fn auth_response(bssid: MacAddr, station: MacAddr, status: u16) -> Frame<P> {
         Frame::new(
             station,
             bssid,
@@ -422,7 +437,7 @@ impl Frame {
     }
 
     /// An association request from `station` to `bssid`.
-    pub fn assoc_request(station: MacAddr, bssid: MacAddr, ssid: Ssid) -> Frame {
+    pub fn assoc_request(station: MacAddr, bssid: MacAddr, ssid: Ssid) -> Frame<P> {
         Frame::new(
             bssid,
             station,
@@ -436,7 +451,7 @@ impl Frame {
     }
 
     /// The AP's association response granting (or refusing) AID `aid`.
-    pub fn assoc_response(bssid: MacAddr, station: MacAddr, status: u16, aid: u16) -> Frame {
+    pub fn assoc_response(bssid: MacAddr, station: MacAddr, status: u16, aid: u16) -> Frame<P> {
         Frame::new(
             station,
             bssid,
@@ -450,14 +465,14 @@ impl Frame {
     }
 
     /// A station→AP data frame (to-DS set).
-    pub fn data_to_ap(station: MacAddr, bssid: MacAddr, payload: Bytes) -> Frame {
+    pub fn data_to_ap(station: MacAddr, bssid: MacAddr, payload: P) -> Frame<P> {
         let mut f = Frame::new(bssid, station, bssid, FrameBody::Data(payload));
         f.to_ds = true;
         f
     }
 
     /// An AP→station data frame (from-DS set).
-    pub fn data_from_ap(bssid: MacAddr, station: MacAddr, payload: Bytes) -> Frame {
+    pub fn data_from_ap(bssid: MacAddr, station: MacAddr, payload: P) -> Frame<P> {
         let mut f = Frame::new(station, bssid, bssid, FrameBody::Data(payload));
         f.from_ds = true;
         f
@@ -466,7 +481,7 @@ impl Frame {
     /// The null-data frame announcing entry into power-save mode. Sending
     /// this is how a virtualized client asks the AP to buffer its downlink
     /// traffic before the radio leaves the channel.
-    pub fn psm_enter(station: MacAddr, bssid: MacAddr) -> Frame {
+    pub fn psm_enter(station: MacAddr, bssid: MacAddr) -> Frame<P> {
         let mut f = Frame::new(bssid, station, bssid, FrameBody::Null);
         f.power_mgmt = true;
         f.to_ds = true;
@@ -475,7 +490,7 @@ impl Frame {
 
     /// The null-data frame announcing exit from power-save mode (radio is
     /// back on this AP's channel; resume normal delivery).
-    pub fn psm_exit(station: MacAddr, bssid: MacAddr) -> Frame {
+    pub fn psm_exit(station: MacAddr, bssid: MacAddr) -> Frame<P> {
         let mut f = Frame::new(bssid, station, bssid, FrameBody::Null);
         f.power_mgmt = false;
         f.to_ds = true;
@@ -483,7 +498,7 @@ impl Frame {
     }
 
     /// A PS-Poll requesting one buffered frame for `aid`.
-    pub fn ps_poll(station: MacAddr, bssid: MacAddr, aid: u16) -> Frame {
+    pub fn ps_poll(station: MacAddr, bssid: MacAddr, aid: u16) -> Frame<P> {
         Frame::new(bssid, station, bssid, FrameBody::PsPoll { aid })
     }
 
@@ -491,7 +506,7 @@ impl Frame {
     ///
     /// ACK carries only a receiver address on the wire; `addr2`/`addr3` are
     /// set to `to` as placeholders.
-    pub fn ack(to: MacAddr) -> Frame {
+    pub fn ack(to: MacAddr) -> Frame<P> {
         Frame::new(to, to, to, FrameBody::Ack)
     }
 
@@ -499,7 +514,9 @@ impl Frame {
     pub fn is_for(&self, me: MacAddr) -> bool {
         self.addr1 == me || self.addr1.is_broadcast()
     }
+}
 
+impl<P: Payload> Frame<P> {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut buf = Writer::with_capacity(self.wire_len());
@@ -585,15 +602,63 @@ impl Frame {
             FrameBody::Disassoc { reason } | FrameBody::Deauth { reason } => {
                 buf.put_u16_le(*reason);
             }
-            FrameBody::Data(payload) => {
-                buf.put_slice(payload);
-            }
+            FrameBody::Data(payload) => payload.encode_into(buf),
             FrameBody::Null => {}
             FrameBody::PsPoll { .. } | FrameBody::Ack => unreachable!("handled above"),
         }
     }
 
-    /// Decode from wire bytes.
+    /// The frame's size on the wire in bytes (header + body, no FCS).
+    ///
+    /// Computed arithmetically from the layout — no encode, no allocation —
+    /// so airtime accounting can ask for frame sizes on the per-event hot
+    /// path. Kept in lockstep with [`Frame::encode`] by a property test
+    /// (`wire_len() == encode().len()` over generated frames).
+    pub fn wire_len(&self) -> usize {
+        match &self.body {
+            // Control frames carry short headers.
+            FrameBody::PsPoll { .. } => 2 + 2 + 6 + 6, // FC, AID, BSSID, TA
+            FrameBody::Ack => 2 + 2 + 6,               // FC, duration, RA
+            // Everything else: 24-byte header (FC, duration, three
+            // addresses, sequence control) plus the typed body.
+            body => {
+                24 + match body {
+                    FrameBody::Beacon(b) | FrameBody::ProbeResp(b) => beacon_body_len(&b.ssid),
+                    FrameBody::ProbeReq { ssid } => ssid_ie_len(ssid),
+                    FrameBody::Auth(_) => 6,
+                    FrameBody::AssocReq(a) => 2 + 2 + ssid_ie_len(&a.ssid),
+                    FrameBody::AssocResp(_) => 6,
+                    FrameBody::Disassoc { .. } | FrameBody::Deauth { .. } => 2,
+                    FrameBody::Data(payload) => payload.wire_len(),
+                    FrameBody::Null => 0,
+                    FrameBody::PsPoll { .. } | FrameBody::Ack => unreachable!("handled above"),
+                }
+            }
+        }
+    }
+}
+
+/// The byte frame. These take no payload, so on the generic frame the
+/// payload type would be left for the caller to name; here
+/// `Frame::beacon(..).encode()` and `Frame::decode(..)` need no
+/// annotation. A typed beacon is [`Frame::new`] with
+/// [`BeaconBody::advertising`].
+impl Frame {
+    /// A broadcast beacon from `bssid`.
+    pub fn beacon(bssid: MacAddr, ssid: Ssid, channel: Channel, timestamp_us: u64) -> Frame {
+        let body = BeaconBody::advertising(ssid, channel, timestamp_us);
+        Frame::new(MacAddr::BROADCAST, bssid, bssid, FrameBody::Beacon(body))
+    }
+
+    /// The wire length of a beacon or probe response advertising `ssid`.
+    /// It depends on nothing else, so a beacon's airtime is known without
+    /// building the frame.
+    pub fn beacon_len(ssid: &Ssid) -> usize {
+        24 + beacon_body_len(ssid)
+    }
+
+    /// Decode from wire bytes; a data frame's payload comes back as raw
+    /// bytes.
     ///
     /// Control frames fill their absent address fields from the present
     /// ones: a decoded ACK has `addr2 == addr3 == addr1`, and a decoded
@@ -719,42 +784,6 @@ impl Frame {
             from_ds,
             body,
         })
-    }
-
-    /// The frame's size on the wire in bytes (header + body, no FCS).
-    ///
-    /// Computed arithmetically from the layout — no encode, no allocation —
-    /// so airtime accounting can ask for frame sizes on the per-event hot
-    /// path. Kept in lockstep with [`Frame::encode`] by a property test
-    /// (`wire_len() == encode().len()` over generated frames).
-    pub fn wire_len(&self) -> usize {
-        match &self.body {
-            // Control frames carry short headers.
-            FrameBody::PsPoll { .. } => 2 + 2 + 6 + 6, // FC, AID, BSSID, TA
-            FrameBody::Ack => 2 + 2 + 6,               // FC, duration, RA
-            // Everything else: 24-byte header (FC, duration, three
-            // addresses, sequence control) plus the typed body.
-            body => {
-                24 + match body {
-                    FrameBody::Beacon(b) | FrameBody::ProbeResp(b) => beacon_body_len(&b.ssid),
-                    FrameBody::ProbeReq { ssid } => ssid_ie_len(ssid),
-                    FrameBody::Auth(_) => 6,
-                    FrameBody::AssocReq(a) => 2 + 2 + ssid_ie_len(&a.ssid),
-                    FrameBody::AssocResp(_) => 6,
-                    FrameBody::Disassoc { .. } | FrameBody::Deauth { .. } => 2,
-                    FrameBody::Data(payload) => payload.len(),
-                    FrameBody::Null => 0,
-                    FrameBody::PsPoll { .. } | FrameBody::Ack => unreachable!("handled above"),
-                }
-            }
-        }
-    }
-
-    /// The wire length of a beacon or probe response advertising `ssid`.
-    /// It depends on nothing else, so a beacon's airtime is known without
-    /// building the frame.
-    pub fn beacon_len(ssid: &Ssid) -> usize {
-        24 + beacon_body_len(ssid)
     }
 }
 
@@ -980,7 +1009,7 @@ mod tests {
     fn is_for_matches_unicast_and_broadcast() {
         let f = Frame::beacon(ap(), Ssid::new("s"), Channel::CH1, 0);
         assert!(f.is_for(sta()));
-        let g = Frame::auth_response(ap(), sta(), 0);
+        let g: Frame = Frame::auth_response(ap(), sta(), 0);
         assert!(g.is_for(sta()));
         assert!(!g.is_for(MacAddr::local(99)));
     }
@@ -1000,9 +1029,9 @@ mod tests {
         let beacon = Frame::beacon(ap(), Ssid::new("abcdefgh"), Channel::CH6, 0);
         // 24 hdr + 12 fixed + (2+8) ssid ie + 3 ds ie = 49
         assert_eq!(beacon.wire_len(), 49);
-        let ack = Frame::ack(sta());
+        let ack: Frame = Frame::ack(sta());
         assert_eq!(ack.wire_len(), 10);
-        let pspoll = Frame::ps_poll(sta(), ap(), 1);
+        let pspoll: Frame = Frame::ps_poll(sta(), ap(), 1);
         assert_eq!(pspoll.wire_len(), 16);
     }
 

@@ -9,7 +9,7 @@ use spider_repro::dhcp::DhcpClientConfig;
 use spider_repro::engine::{Duration, Instant, Rng};
 use spider_repro::mobility::{deploy_along, DeploymentConfig, Route, Vehicle};
 use spider_repro::spider::{
-    run, ClientMotion, RunResult, SchedulePolicy, SpiderConfig, WorldConfig,
+    run, ClientMotion, RunRecord, RunResult, SchedulePolicy, SpiderConfig, WorldConfig,
 };
 use spider_repro::traffic::{mesh, MeshWorkloadParams};
 use spider_repro::wifi::{Channel, JoinConfig};
@@ -133,6 +133,33 @@ fn fig5_association_is_robust_to_switching_with_a_tail_at_a_quarter() {
         quarter < full,
         "share within 0.2 s: f = 0.25 {quarter:.2} must be below f = 1 {full:.2}"
     );
+}
+
+/// Spider's configurations use the reduced 100 ms link-layer timeout;
+/// the "default timers" of Fig. 6 and Table 3 are DHCP's. On
+/// one channel, and in `tests/world_golden.rs`'s 120 s multi-channel
+/// drive, that timeout never fires: no handshake frame is lost, so the
+/// stock 1 s timeout gives the same record byte for byte.
+#[test]
+fn stock_link_layer_timeout_leaves_single_and_short_multi_channel_drives_unchanged() {
+    let record = |spider: &SpiderConfig, join: JoinConfig| {
+        let spider = SpiderConfig {
+            join,
+            ..spider.clone()
+        };
+        RunRecord::to_json(&amherst_drive(spider, 120)).expect("a finite record")
+    };
+    for spider in [
+        SpiderConfig::multi_channel_multi_ap(Duration::from_millis(200)),
+        SpiderConfig::single_channel_multi_ap(Channel::CH1),
+    ] {
+        assert_eq!(spider.join.link_layer_timeout, Duration::from_millis(100));
+        assert!(
+            record(&spider, JoinConfig::default()) == record(&spider, JoinConfig::reduced()),
+            "the stock link-layer timeout moved the record of {:?}",
+            spider.schedule
+        );
+    }
 }
 
 /// Fig. 14 (a third of the experiment's 1800 s), Table 2 configurations

@@ -86,7 +86,7 @@ fn psm_control_frames_roundtrip() {
         let aid = g.u32_in(0, 0x3FFF) as u16;
         let enter = Frame::psm_enter(sta, bssid);
         prop_assert_eq!(Frame::decode(&enter.encode()).unwrap(), enter);
-        let poll = Frame::ps_poll(sta, bssid, aid);
+        let poll: Frame = Frame::ps_poll(sta, bssid, aid);
         let decoded = Frame::decode(&poll.encode()).unwrap();
         prop_assert_eq!(decoded.body, FrameBody::PsPoll { aid });
         Ok(())
@@ -708,11 +708,13 @@ fn event_queue_reschedule_matches_eager_rearm_model() {
 
 /// FIFO lanes never change the pop order. Delays are drawn from a set
 /// that mixes the lane delays with arbitrary ones, so pushes and
-/// reschedules land in lanes and in the heap, and same-instant ties
-/// between the two are common. Every pop must match a sorted `(at, seq)`
-/// reference, where a reschedule takes a fresh sequence number as a push
-/// does, and the live count and non-draining peek must agree after every
-/// operation.
+/// reschedules land in delay lanes and in the heap, and same-instant ties
+/// between the two are common. Pushes onto three named lanes are mostly
+/// at or after the lane's latest instant, so they join it, and otherwise
+/// arbitrary, so they fall back to the heap. Every pop must match a
+/// sorted `(at, seq)` reference, where a reschedule takes a fresh
+/// sequence number as a push does, and the live count and non-draining
+/// peek must agree after every operation.
 #[test]
 fn event_queue_lanes_match_sorted_reference() {
     check_with(
@@ -721,28 +723,43 @@ fn event_queue_lanes_match_sorted_reference() {
         |g| {
             use spider_repro::engine::{EventId, EventQueue};
             const LANES_MS: [u64; 3] = [10, 30, 100];
+            const NAMED: usize = 3;
             let ops = g.vec(1, 300, |g| {
                 let delay = if g.bool() {
                     LANES_MS[g.usize_in(0, LANES_MS.len())]
                 } else {
                     g.u64_in(0, 120)
                 };
-                (g.usize_in(0, 6), g.usize_in(0, 64), delay)
+                (g.usize_in(0, 9), g.usize_in(0, 64), delay)
             });
             let mut q: EventQueue<u64> = EventQueue::new();
             for ms in LANES_MS {
                 q.add_lane(Duration::from_millis(ms));
             }
+            let named: Vec<_> = (0..NAMED).map(|_| q.add_named_lane()).collect();
+            let mut named_latest = [0u64; NAMED];
             // Reference: live events as (time_ms, seq, payload, handle).
             let mut model: Vec<(u64, u64, u64, EventId)> = Vec::new();
             let mut seq = 0u64;
             let mut now_ms = 0u64;
-            for (op, pick, delay) in ops {
-                let pick = pick % model.len().max(1);
+            for (op, raw_pick, delay) in ops {
+                let pick = raw_pick % model.len().max(1);
                 match op {
                     0 | 1 => {
                         let at_ms = now_ms + delay;
                         let id = q.push(Instant::from_millis(at_ms), seq);
+                        model.push((at_ms, seq, seq, id));
+                        seq += 1;
+                    }
+                    5 | 6 => {
+                        let lane = raw_pick % NAMED;
+                        let at_ms = if raw_pick % 4 == 0 {
+                            now_ms + delay
+                        } else {
+                            named_latest[lane].max(now_ms) + delay % 20
+                        };
+                        named_latest[lane] = named_latest[lane].max(at_ms);
+                        let id = q.push_on(named[lane], Instant::from_millis(at_ms), seq);
                         model.push((at_ms, seq, seq, id));
                         seq += 1;
                     }
@@ -964,58 +981,151 @@ fn tcp_survives_lossy_reordering_pipe() {
 
 // ------------------------------------------------- wire_len vs encoding
 
+/// A frame of any shape, carrying `data(g)` if it is a data frame, with
+/// random header fields.
+fn gen_frame<P>(g: &mut Gen, data: impl FnOnce(&mut Gen) -> P) -> Frame<P> {
+    use spider_repro::wifi::frame::{AssocReqBody, AssocRespBody, AuthBody, BeaconBody};
+
+    let a = gen_mac(g);
+    let b = gen_mac(g);
+    let body = match g.usize_in(0, 11) {
+        0 => FrameBody::Beacon(BeaconBody::advertising(
+            gen_ssid(g),
+            gen_channel(g),
+            g.u64(),
+        )),
+        1 => FrameBody::ProbeReq { ssid: gen_ssid(g) },
+        2 => FrameBody::ProbeResp(BeaconBody::advertising(
+            gen_ssid(g),
+            gen_channel(g),
+            g.u64(),
+        )),
+        3 => FrameBody::Auth(AuthBody {
+            algorithm: g.u32_in(0, 3) as u16,
+            transaction: g.u32_in(1, 2) as u16,
+            status: g.u32_in(0, 60) as u16,
+        }),
+        4 => FrameBody::AssocReq(AssocReqBody {
+            capability: g.u32() as u16,
+            listen_interval: g.u32() as u16,
+            ssid: gen_ssid(g),
+        }),
+        5 => FrameBody::AssocResp(AssocRespBody {
+            capability: g.u32() as u16,
+            status: g.u32_in(0, 60) as u16,
+            aid: g.u32_in(0, 2007) as u16,
+        }),
+        6 => FrameBody::Disassoc {
+            reason: g.u32_in(0, 99) as u16,
+        },
+        7 => FrameBody::Deauth {
+            reason: g.u32_in(0, 99) as u16,
+        },
+        8 => FrameBody::Data(data(g)),
+        9 => FrameBody::Null,
+        10 => FrameBody::PsPoll {
+            aid: g.u32_in(0, 2007) as u16,
+        },
+        _ => FrameBody::Ack,
+    };
+    let mut f = Frame::new(a, b, gen_mac(g), body);
+    f.seq = g.u32_in(0, 0x0FFF) as u16;
+    f.duration = g.u32() as u16;
+    f.power_mgmt = g.bool();
+    f.more_data = g.bool();
+    f.retry = g.bool();
+    f.to_ds = g.bool();
+    f.from_ds = g.bool();
+    f
+}
+
+/// A DHCP message of any type the client and server exchange.
+fn gen_dhcp_message(g: &mut Gen) -> DhcpMessage {
+    let xid = g.u32();
+    let mut chaddr = [0u8; 6];
+    g.fill(&mut chaddr);
+    let ip = std::net::Ipv4Addr::from(g.u32().to_be_bytes());
+    let server = std::net::Ipv4Addr::from(g.u32().to_be_bytes());
+    let lease = g.u32_in(1, 86_400);
+    match g.usize_in(0, 4) {
+        0 => DhcpMessage::discover(xid, chaddr),
+        1 => DhcpMessage::offer(xid, chaddr, ip, server, lease),
+        2 => DhcpMessage::request(xid, chaddr, ip, server),
+        3 => DhcpMessage::nak(xid, chaddr, server),
+        _ => DhcpMessage::ack(xid, chaddr, ip, server, lease),
+    }
+}
+
+/// A TCP segment with arbitrary fields and up to three SACK blocks, filled
+/// from the front as the receiver fills them.
+fn gen_segment(g: &mut Gen) -> Segment {
+    let mut sack = [None; 3];
+    for slot in sack.iter_mut().take(g.usize_in(0, 3)) {
+        *slot = Some((SeqNum::new(g.u32()), g.u32_in(1, 65_535)));
+    }
+    Segment {
+        conn: g.u64(),
+        seq: SeqNum::new(g.u32()),
+        ack: g.bool().then(|| SeqNum::new(g.u32())),
+        len: g.u32_in(0, 65_535),
+        syn: g.bool(),
+        fin: g.bool(),
+        sack,
+        ts_us: g.u64(),
+        ts_echo_us: g.bool().then(|| g.u64()),
+    }
+}
+
 /// `wire_len` must agree with the encoder for every frame shape: the hot
 /// path sizes airtime and backhaul transmissions arithmetically, without
 /// serializing, so a drift between the two silently changes event timing.
 #[test]
 fn frame_wire_len_matches_encoding() {
     use spider_repro::engine::wire::Bytes;
-    use spider_repro::wifi::frame::{AssocReqBody, AssocRespBody, AuthBody};
 
     check("frame_wire_len_matches_encoding", |g| {
-        let a = gen_mac(g);
-        let b = gen_mac(g);
-        let body = match g.usize_in(0, 11) {
-            0 => Frame::beacon(a, gen_ssid(g), gen_channel(g), g.u64()).body,
-            1 => FrameBody::ProbeReq { ssid: gen_ssid(g) },
-            2 => Frame::probe_response(a, b, gen_ssid(g), gen_channel(g), g.u64()).body,
-            3 => FrameBody::Auth(AuthBody {
-                algorithm: g.u32_in(0, 3) as u16,
-                transaction: g.u32_in(1, 2) as u16,
-                status: g.u32_in(0, 60) as u16,
-            }),
-            4 => FrameBody::AssocReq(AssocReqBody {
-                capability: g.u32() as u16,
-                listen_interval: g.u32() as u16,
-                ssid: gen_ssid(g),
-            }),
-            5 => FrameBody::AssocResp(AssocRespBody {
-                capability: g.u32() as u16,
-                status: g.u32_in(0, 60) as u16,
-                aid: g.u32_in(0, 2007) as u16,
-            }),
-            6 => FrameBody::Disassoc {
-                reason: g.u32_in(0, 99) as u16,
-            },
-            7 => FrameBody::Deauth {
-                reason: g.u32_in(0, 99) as u16,
-            },
-            8 => FrameBody::Data(Bytes::copy_from_slice(&g.bytes(0, 1500))),
-            9 => FrameBody::Null,
-            10 => FrameBody::PsPoll {
-                aid: g.u32_in(0, 2007) as u16,
-            },
-            _ => FrameBody::Ack,
-        };
-        let mut f = Frame::new(a, b, gen_mac(g), body);
-        f.seq = g.u32_in(0, 0x0FFF) as u16;
-        f.duration = g.u32() as u16;
-        f.power_mgmt = g.bool();
-        f.more_data = g.bool();
-        f.retry = g.bool();
-        f.to_ds = g.bool();
-        f.from_ds = g.bool();
+        let f = gen_frame(g, |g| Bytes::copy_from_slice(&g.bytes(0, 1500)));
         prop_assert_eq!(f.wire_len(), f.encode().len());
+        Ok(())
+    });
+}
+
+/// The same contract for the typed payload the world's data frames carry,
+/// for both kinds of packet. A packet's wire length is its 1-byte protocol
+/// number plus the message's encoding, its byte form decodes back to the
+/// packet, and a frame carrying it survives the byte codec: the frame's
+/// bytes decode to a byte frame that encodes to the same bytes, with a
+/// payload that decodes to the packet.
+#[test]
+fn packet_frame_wire_len_matches_encoding() {
+    use spider_repro::engine::wire::Writer;
+    use spider_repro::spider::Packet;
+    use spider_repro::wifi::frame::Payload;
+
+    check("packet_frame_wire_len_matches_encoding", |g| {
+        let packet = if g.bool() {
+            Packet::Dhcp(gen_dhcp_message(g))
+        } else {
+            Packet::Tcp(gen_segment(g))
+        };
+        let encoded_len = match &packet {
+            Packet::Dhcp(msg) => msg.encode().len(),
+            Packet::Tcp(seg) => seg.encode().len(),
+        };
+        prop_assert_eq!(packet.wire_len(), 1 + encoded_len);
+        let mut bytes = Writer::new();
+        packet.encode_into(&mut bytes);
+        prop_assert_eq!(bytes.len(), packet.wire_len());
+        prop_assert_eq!(Packet::decode(bytes.as_slice()), Some(packet.clone()));
+
+        let f = gen_frame(g, |_| packet);
+        let encoded = f.encode();
+        prop_assert_eq!(f.wire_len(), encoded.len());
+        let decoded = Frame::decode(&encoded).map_err(|e| e.to_string())?;
+        prop_assert_eq!(decoded.encode(), encoded);
+        if let (FrameBody::Data(raw), FrameBody::Data(packet)) = (&decoded.body, &f.body) {
+            prop_assert_eq!(Packet::decode(raw), Some(packet.clone()));
+        }
         Ok(())
     });
 }
@@ -1025,19 +1135,7 @@ fn frame_wire_len_matches_encoding() {
 #[test]
 fn dhcp_wire_len_matches_encoding() {
     check("dhcp_wire_len_matches_encoding", |g| {
-        let xid = g.u32();
-        let mut chaddr = [0u8; 6];
-        g.fill(&mut chaddr);
-        let ip = std::net::Ipv4Addr::from(g.u32().to_be_bytes());
-        let server = std::net::Ipv4Addr::from(g.u32().to_be_bytes());
-        let lease = g.u32_in(1, 86_400);
-        let msg = match g.usize_in(0, 4) {
-            0 => DhcpMessage::discover(xid, chaddr),
-            1 => DhcpMessage::offer(xid, chaddr, ip, server, lease),
-            2 => DhcpMessage::request(xid, chaddr, ip, server),
-            3 => DhcpMessage::nak(xid, chaddr, server),
-            _ => DhcpMessage::ack(xid, chaddr, ip, server, lease),
-        };
+        let msg = gen_dhcp_message(g);
         prop_assert_eq!(msg.wire_len(), msg.encode().len());
         Ok(())
     });
@@ -1049,30 +1147,19 @@ fn dhcp_wire_len_matches_encoding() {
 /// depend on is that `wire_len` survives the encode/decode round-trip —
 /// both ends of a backhaul link must charge the same occupancy — and
 /// that the header overhead is a constant independent of segment shape.
+/// `encoded_len`, which the air and the uplink charge, must equal the
+/// encoding's length.
 #[test]
 fn segment_wire_len_survives_roundtrip() {
     check("segment_wire_len_survives_roundtrip", |g| {
-        let mut sack = [None; 3];
-        for slot in sack.iter_mut().take(g.usize_in(0, 3)) {
-            *slot = Some((SeqNum::new(g.u32()), g.u32_in(1, 65_535)));
-        }
-        let seg = Segment {
-            conn: g.u64(),
-            seq: SeqNum::new(g.u32()),
-            ack: g.bool().then(|| SeqNum::new(g.u32())),
-            len: g.u32_in(0, 65_535),
-            syn: g.bool(),
-            fin: g.bool(),
-            sack,
-            ts_us: g.u64(),
-            ts_echo_us: g.bool().then(|| g.u64()),
-        };
+        let seg = gen_segment(g);
         let decoded = Segment::decode(&seg.encode()).unwrap();
         prop_assert_eq!(decoded.wire_len(), seg.wire_len());
         prop_assert_eq!(
             seg.wire_len() - seg.len,
             spider_repro::tcp::segment::HEADER_OVERHEAD
         );
+        prop_assert_eq!(seg.encoded_len(), seg.encode().len());
         Ok(())
     });
 }
