@@ -172,11 +172,6 @@ impl DhcpClient {
         self.cooldown_until
     }
 
-    /// When the in-flight attempt started (for join-time measurement).
-    pub fn attempt_started_at(&self) -> Option<Instant> {
-        self.attempt_started
-    }
-
     fn next_xid(&mut self) -> u32 {
         self.xid = self.xid.wrapping_add(1);
         self.xid

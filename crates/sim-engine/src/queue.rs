@@ -25,45 +25,39 @@
 //! free list, so a steady-state run performs no per-event allocation once
 //! the arena has grown to the peak number of outstanding events.
 //!
-//! # Fixed-period timers: FIFO lanes
+//! # FIFO lanes
 //!
-//! A periodic timer (a beacon, a 1 Hz upkeep, a schedule slice) re-arms
-//! itself a fixed delay after the instant it fires. [`EventQueue::add_lane`]
-//! opens a FIFO lane for one such delay: a push at exactly `now + delay`
-//! is appended to that lane's `VecDeque` in O(1) instead of being sifted
-//! into the heap. Lanes change the cost of a push and a pop, never the
-//! order:
+//! Many events are pushed in the order they will fire. A periodic timer (a
+//! beacon, a 1 Hz upkeep, a schedule slice) re-arms itself a fixed delay
+//! after the instant it fires, and a FIFO link's arrivals come in
+//! increasing time whatever their delay. Such a source gets a lane: a
+//! `VecDeque` of entries whose front alone waits in the heap, tagged with
+//! the lane; when the front leaves the heap the lane's next entry takes
+//! its place. [`EventQueue::add_lane`] opens a lane for one delay, and a
+//! plain push at exactly `now + delay` joins it;
+//! [`EventQueue::add_named_lane`] opens one for a source, and
+//! [`EventQueue::push_on`] joins it. The heap then holds one entry per
+//! lane instead of the lane's whole backlog, and a pop only settles the
+//! heap: it scans no lane. Lanes change the cost of a push and a pop,
+//! never the order:
 //!
-//! * `now` never decreases and the sequence number always grows, so
-//!   successive pushes at `now + delay` arrive in ascending `(at, seq)`
-//!   order, and each lane is sorted by the same key the heap orders by.
-//!   The push still checks the lane's tail and falls back to the heap if
-//!   appending would break that order.
-//! * A pop takes the least `(at, seq)` among the heap's top and the lane
-//!   fronts, so the total order is exactly the heap-only order.
+//! * An entry joins a lane only if it is not earlier than the lane's tail,
+//!   and goes to the heap otherwise, so every lane is sorted by the key the
+//!   heap orders by, `(at, seq)`. For a delay lane the append always
+//!   holds: `now` never decreases and the sequence number always grows.
+//! * A lane's front is its least key, and it is in the heap, so the heap's
+//!   top is the least key queued anywhere and a pop takes exactly the
+//!   entry the heap-only order would.
 //! * Every queued entry's key is at most its slot's current key (a
-//!   reschedule later only raises the slot's key). A cancelled lane front
-//!   is dropped; a lane front whose event was rescheduled later is
-//!   re-seated into the heap at its new key, exactly as a stale heap top
-//!   is re-keyed. The least key left is then live and current.
+//!   reschedule later only raises the slot's key). A cancelled front is
+//!   dropped, and a front whose event was rescheduled later is re-seated
+//!   untagged at its new key, exactly as a stale untagged top is re-keyed;
+//!   either way the lane's next entry takes its place. The least key left
+//!   is then live and current.
 //!
 //! A push whose delay is below the smallest lane delay skips the lane
 //! search, so the data path (sub-millisecond airtimes) pays one
 //! comparison for the lanes.
-//!
-//! # Named lanes
-//!
-//! Some sources deliver in increasing time whatever their delay: a FIFO
-//! link's arrivals, say. [`EventQueue::add_named_lane`] opens a lane for
-//! one such source, and [`EventQueue::push_on`] appends to it. A named
-//! lane differs from a delay lane in one way: its front waits in the heap,
-//! tagged with the lane, and when it leaves the heap the lane's next entry
-//! takes its place. The heap then holds one entry per named lane instead
-//! of the lane's whole backlog, and a pop looks at no lane front it would
-//! not look at anyway, however many named lanes there are. The order
-//! argument is the delay lanes': an append that would unsort the lane goes
-//! to the heap instead, a cancelled front is dropped, and a front whose
-//! event was rescheduled later is re-seated untagged at its new key.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -88,10 +82,10 @@ pub struct EventId {
 /// the payload here — index-addressed by the 24-byte queue entries — means
 /// heap sift operations move small fixed-size keys instead of whole events.
 ///
-/// Each slot has at most one queued entry, in the heap or in a lane. Its
-/// key equals the slot's key unless the event was rescheduled later since
-/// the entry was queued; the entry then surfaces early and is re-seated in
-/// the heap at the slot's key.
+/// Each slot has one queued entry, in the heap or in a lane; a lane's
+/// front is in both and counts once. Its key equals the slot's key unless
+/// the event was rescheduled later since the entry was queued; the entry
+/// then surfaces early and is re-seated in the heap at the slot's key.
 struct Slot<E> {
     gen: u32,
     live: bool,
@@ -105,11 +99,11 @@ struct Entry {
     at: Instant,
     seq: u64,
     slot: u32,
-    /// The named lane whose front this heap entry is, or [`NO_LANE`].
+    /// The lane whose front this heap entry is, or [`NO_LANE`].
     lane: u32,
 }
 
-/// [`Entry::lane`] of an entry that is no named lane's front.
+/// [`Entry::lane`] of an entry that is no lane's front.
 const NO_LANE: u32 = u32::MAX;
 
 impl Entry {
@@ -138,26 +132,35 @@ impl PartialEq for Entry {
 }
 impl Eq for Entry {}
 
-/// A FIFO lane, sorted by `(at, seq)` (see the module docs): a delay
-/// lane takes pushes exactly its delay after the queue's now, a named
-/// lane the pushes its owner names.
-struct Lane {
-    /// `None` for a named lane.
-    delay: Option<Duration>,
-    /// The lane's entries; a named lane's front is also in the heap.
-    entries: VecDeque<Entry>,
+/// Remove the heap's top and return it. A lane's front leaves its lane
+/// too, and the lane's next entry takes its place in the heap: one sift
+/// down instead of a pop and a push. `laned` is
+/// [`EventQueue`]'s count of lane entries not in the heap.
+fn remove_top(
+    mut top: PeekMut<'_, Entry>,
+    lanes: &mut [VecDeque<Entry>],
+    laned: &mut usize,
+) -> Entry {
+    let entry = *top;
+    if entry.lane != NO_LANE {
+        let lane = &mut lanes[entry.lane as usize];
+        lane.pop_front();
+        if let Some(&next) = lane.front() {
+            *laned -= 1;
+            // Dropping the `PeekMut` sifts the replacement down.
+            *top = Entry {
+                lane: entry.lane,
+                ..next
+            };
+            return entry;
+        }
+    }
+    PeekMut::pop(top)
 }
 
-/// Handle of a named lane (see [`EventQueue::add_named_lane`]).
+/// Handle of a FIFO lane (see [`EventQueue::add_named_lane`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneId(u32);
-
-/// Where the earliest live event's entry waits.
-#[derive(Clone, Copy)]
-enum Head {
-    Heap,
-    Lane(usize),
-}
 
 /// A deterministic future-event list.
 ///
@@ -177,11 +180,12 @@ enum Head {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry>,
-    /// Delay lanes, one per registered delay.
-    lanes: Vec<Lane>,
-    /// Named lanes, indexed by [`LaneId`].
-    named: Vec<Lane>,
-    /// The smallest lane delay ([`Duration::MAX`] with no lanes): a push
+    /// FIFO lanes, indexed by [`LaneId`], each sorted by `(at, seq)`; a
+    /// lane's front is also in the heap.
+    lanes: Vec<VecDeque<Entry>>,
+    /// The lane of each delay registered with [`EventQueue::add_lane`].
+    delay_lanes: Vec<(Duration, LaneId)>,
+    /// The smallest registered delay ([`Duration::MAX`] with none): a push
     /// with a shorter delay goes straight to the heap.
     min_lane_delay: Duration,
     /// Entries (live or cancelled) waiting in lanes and not in the heap.
@@ -212,7 +216,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             lanes: Vec::new(),
-            named: Vec::new(),
+            delay_lanes: Vec::new(),
             min_lane_delay: Duration::MAX,
             laned: 0,
             slots: Vec::new(),
@@ -230,26 +234,20 @@ impl<E> EventQueue<E> {
     /// pop order is unchanged (see the module docs). Registering a delay
     /// twice opens one lane.
     pub fn add_lane(&mut self, delay: Duration) {
-        if self.lanes.iter().any(|lane| lane.delay == Some(delay)) {
+        if self.delay_lanes.iter().any(|&(d, _)| d == delay) {
             return;
         }
-        self.lanes.push(Lane {
-            delay: Some(delay),
-            entries: VecDeque::new(),
-        });
+        let lane = self.add_named_lane();
+        self.delay_lanes.push((delay, lane));
         self.min_lane_delay = self.min_lane_delay.min(delay);
     }
 
-    /// Open a named FIFO lane for a source whose events arrive in
-    /// increasing time, and return its handle for
-    /// [`EventQueue::push_on`]. The pop order is unchanged (see the
-    /// module docs).
+    /// Open a FIFO lane for a source whose events arrive in increasing
+    /// time, and return its handle for [`EventQueue::push_on`]. The pop
+    /// order is unchanged (see the module docs).
     pub fn add_named_lane(&mut self) -> LaneId {
-        self.named.push(Lane {
-            delay: None,
-            entries: VecDeque::new(),
-        });
-        LaneId(self.named.len() as u32 - 1)
+        self.lanes.push(VecDeque::new());
+        LaneId(self.lanes.len() as u32 - 1)
     }
 
     /// The time of the last popped event — "now" from the perspective of the
@@ -274,7 +272,8 @@ impl<E> EventQueue<E> {
         self.peak_live
     }
 
-    /// Schedule `event` to fire at absolute time `at`.
+    /// Schedule `event` to fire at absolute time `at`. A push exactly a
+    /// registered delay after now joins that delay's lane.
     ///
     /// # Panics
     /// Panics if `at` is earlier than the current queue time: an event
@@ -294,6 +293,8 @@ impl<E> EventQueue<E> {
         self.push_entry(at, event, Some(lane))
     }
 
+    /// Queue `event` at `at` on `lane`, or, with `None`, on the lane of
+    /// its delay if one is registered.
     fn push_entry(&mut self, at: Instant, event: E, lane: Option<LaneId>) -> EventId {
         assert!(
             at >= self.now,
@@ -330,12 +331,9 @@ impl<E> EventQueue<E> {
             slot,
             lane: NO_LANE,
         };
-        let queued = match lane {
-            Some(lane) => self.push_to_named_lane(lane, entry),
-            None => self.push_to_lane(entry),
-        };
-        if !queued {
-            self.heap.push(entry);
+        match lane.or_else(|| self.delay_lane(at)) {
+            Some(lane) => self.push_to_lane(lane, entry),
+            None => self.heap.push(entry),
         }
         let live = self.len() - self.cancelled;
         if live > self.peak_live {
@@ -344,58 +342,32 @@ impl<E> EventQueue<E> {
         EventId { slot, gen }
     }
 
-    /// Append `entry` to the lane of its delay, if there is one and the
-    /// lane stays sorted. Returns whether it was appended.
-    fn push_to_lane(&mut self, entry: Entry) -> bool {
-        let delay = entry.at.since(self.now);
+    /// The lane registered for a push at `at`, that is for `at - now`.
+    fn delay_lane(&self, at: Instant) -> Option<LaneId> {
+        let delay = at.since(self.now);
         if delay < self.min_lane_delay {
-            return false;
+            return None;
         }
-        let Some(lane) = self.lanes.iter_mut().find(|lane| lane.delay == Some(delay)) else {
-            return false;
-        };
-        if lane
-            .entries
-            .back()
-            .is_some_and(|tail| tail.key() > entry.key())
-        {
-            return false;
-        }
-        lane.entries.push_back(entry);
-        self.laned += 1;
-        true
+        self.delay_lanes
+            .iter()
+            .find(|&&(d, _)| d == delay)
+            .map(|&(_, lane)| lane)
     }
 
-    /// Append `entry` to named lane `id` if the lane stays sorted; the
-    /// front of an empty lane goes into the heap as well. Returns whether
-    /// it was appended.
-    fn push_to_named_lane(&mut self, id: LaneId, entry: Entry) -> bool {
-        let lane = &mut self.named[id.0 as usize];
-        match lane.entries.back() {
-            Some(tail) if tail.key() > entry.key() => return false,
+    /// Append `entry` to lane `id` if the lane stays sorted, and push it
+    /// to the heap otherwise. The front of an empty lane also goes into
+    /// the heap, tagged with the lane.
+    fn push_to_lane(&mut self, id: LaneId, entry: Entry) {
+        let lane = &mut self.lanes[id.0 as usize];
+        match lane.back() {
+            Some(tail) if tail.key() > entry.key() => return self.heap.push(entry),
             Some(_) => self.laned += 1,
             None => self.heap.push(Entry {
                 lane: id.0,
                 ..entry
             }),
         }
-        lane.entries.push_back(entry);
-        true
-    }
-
-    /// A named lane's front has left the heap: drop it from the lane and
-    /// move the lane's next entry, if any, into the heap in its place.
-    /// `lane` is the departed heap entry's [`Entry::lane`].
-    fn advance_named_lane(&mut self, lane: u32) {
-        if lane == NO_LANE {
-            return;
-        }
-        let entries = &mut self.named[lane as usize].entries;
-        entries.pop_front();
-        if let Some(&next) = entries.front() {
-            self.laned -= 1;
-            self.heap.push(Entry { lane, ..next });
-        }
+        lane.push_back(entry);
     }
 
     /// Cancel a previously scheduled event. Idempotent; cancelling an event
@@ -457,24 +429,15 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest live event, advancing the queue clock to its time.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        let (head, _) = self.head()?;
-        self.take(head)
+        self.settle_heap()?;
+        self.take()
     }
 
-    /// Remove the entry at `head` and deliver its event.
-    fn take(&mut self, head: Head) -> Option<(Instant, E)> {
-        let entry = match head {
-            Head::Heap => {
-                let entry = self.heap.pop()?;
-                self.advance_named_lane(entry.lane);
-                entry
-            }
-            Head::Lane(i) => {
-                let entry = self.lanes[i].entries.pop_front()?;
-                self.laned -= 1;
-                entry
-            }
-        };
+    /// Remove the heap's top, which [`EventQueue::settle_heap`] left live
+    /// and current, and deliver its event.
+    fn take(&mut self) -> Option<(Instant, E)> {
+        let top = self.heap.peek_mut()?;
+        let entry = remove_top(top, &mut self.lanes, &mut self.laned);
         let event = self.slots[entry.slot as usize].event.take();
         self.release_slot(entry.slot);
         debug_assert!(entry.at >= self.now, "event queue time went backwards");
@@ -483,49 +446,9 @@ impl<E> EventQueue<E> {
         event.map(|event| (entry.at, event))
     }
 
-    /// Find the earliest live event: where its entry waits, and its time.
-    /// The heap's top is settled first. A lane front is looked at only if
-    /// its key is below the best so far: every entry's key is at most its
-    /// event's, so a lane whose front is later holds nothing earlier. A
-    /// looked-at front that is cancelled is dropped, and one that was
-    /// rescheduled later is re-seated in the heap; either way the lane's
-    /// next front is looked at in turn.
-    fn head(&mut self) -> Option<(Head, Instant)> {
-        let mut best = self.settle_heap().map(|top| (Head::Heap, top.key()));
-        for i in 0..self.lanes.len() {
-            while let Some(front) = self.lanes[i].entries.front().copied() {
-                if best.is_some_and(|(_, key)| key < front.key()) {
-                    break;
-                }
-                let slot = &self.slots[front.slot as usize];
-                if slot.live && slot.seq == front.seq {
-                    best = Some((Head::Lane(i), front.key()));
-                    break;
-                }
-                let (live, at, seq) = (slot.live, slot.at, slot.seq);
-                self.lanes[i].entries.pop_front();
-                self.laned -= 1;
-                if !live {
-                    self.cancelled -= 1;
-                    self.release_slot(front.slot);
-                    continue;
-                }
-                // If it is below the best so far, the re-seated entry is
-                // the heap's new top: the old top was settled and is no
-                // earlier than the best.
-                self.heap.push(Entry { at, seq, ..front });
-                match best {
-                    Some((_, key)) if key < (at, seq) => {}
-                    _ => best = Some((Head::Heap, (at, seq))),
-                }
-            }
-        }
-        best.map(|(head, (at, _))| (head, at))
-    }
-
     /// Drop cancelled entries off the heap's top and re-key entries of
     /// events rescheduled later, until the top is live and current. A
-    /// named lane's front that is dropped or re-keyed leaves its lane.
+    /// lane's front that is dropped or re-keyed leaves its lane.
     fn settle_heap(&mut self) -> Option<Entry> {
         loop {
             let mut top = self.heap.peek_mut()?;
@@ -540,8 +463,7 @@ impl<E> EventQueue<E> {
                 top.seq = seq;
                 continue;
             }
-            let stale = PeekMut::pop(top);
-            self.advance_named_lane(stale.lane);
+            let stale = remove_top(top, &mut self.lanes, &mut self.laned);
             if live {
                 self.heap.push(Entry {
                     at,
@@ -556,43 +478,21 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Time of the earliest live event, without popping it. Brings that
-    /// event's entry to the front of its heap or lane on the way:
-    /// cancelled entries are dropped and entries of events rescheduled
-    /// later are re-seated, so repeated calls are cheap; see
-    /// [`EventQueue::next_live_time`] for a `&self` variant.
-    pub fn peek_time(&mut self) -> Option<Instant> {
-        self.head().map(|(_, at)| at)
-    }
-
     /// Time of the earliest live event without mutating the queue.
     ///
-    /// O(lanes) when the heap's top and every lane front are live and
-    /// current (the common case); falls back to a full scan when a
-    /// cancelled or rescheduled entry is at a front. Prefer
-    /// [`EventQueue::peek_time`] in loops that also pop — it compacts as
-    /// it goes.
+    /// O(1) when the heap's top is live and current (the common case);
+    /// falls back to a full scan when a cancelled or rescheduled entry is
+    /// on top.
     pub fn next_live_time(&self) -> Option<Instant> {
-        let current = |e: &Entry| {
-            let slot = &self.slots[e.slot as usize];
-            slot.live && slot.seq == e.seq
-        };
-        let fronts = self
-            .heap
-            .peek()
-            .into_iter()
-            .chain(self.lanes.iter().filter_map(|lane| lane.entries.front()));
-        if fronts.clone().all(current) {
-            return fronts.map(Entry::key).min().map(|(at, _)| at);
+        // Every lane's front is in the heap: an empty heap is an empty queue.
+        let top = self.heap.peek()?;
+        let slot = &self.slots[top.slot as usize];
+        if slot.live && slot.seq == top.seq {
+            return Some(top.at);
         }
         self.heap
             .iter()
-            .chain(
-                self.lanes
-                    .iter()
-                    .chain(&self.named)
-                    .flat_map(|lane| lane.entries.iter()),
-            )
+            .chain(self.lanes.iter().flatten())
             .map(|e| &self.slots[e.slot as usize])
             .filter(|s| s.live)
             .map(|s| s.at)
@@ -602,18 +502,17 @@ impl<E> EventQueue<E> {
     /// Pop the earliest live event if it fires at or before `deadline`,
     /// advancing the clock; events strictly after `deadline` stay queued.
     pub fn pop_at_or_before(&mut self, deadline: Instant) -> Option<(Instant, E)> {
-        let (head, at) = self.head()?;
-        if at > deadline {
+        if self.settle_heap()?.at > deadline {
             return None;
         }
-        self.take(head)
+        self.take()
     }
 
     /// Number of scheduled events **including cancelled entries** still
     /// physically queued. This over-counts after cancellations; it exists
     /// because it is free. Use [`EventQueue::live_len`] for the number of
-    /// events that will actually fire, or [`EventQueue::has_live_events`]
-    /// for an emptiness test.
+    /// events that will actually fire, or [`EventQueue::is_empty`] for an
+    /// emptiness test.
     pub fn len(&self) -> usize {
         self.heap.len() + self.laned
     }
@@ -634,11 +533,6 @@ impl<E> EventQueue<E> {
     /// tombstones included — compare `len()` to zero explicitly.
     pub fn is_empty(&self) -> bool {
         self.live_len() == 0
-    }
-
-    /// True if at least one non-cancelled event remains.
-    pub fn has_live_events(&mut self) -> bool {
-        self.peek_time().is_some()
     }
 }
 
@@ -757,10 +651,10 @@ mod tests {
         let a = q.push(Instant::from_millis(1), "a");
         q.push(Instant::from_millis(9), "b");
         q.cancel(a);
-        assert_eq!(q.peek_time(), Some(Instant::from_millis(9)));
-        assert!(q.has_live_events());
+        assert_eq!(q.next_live_time(), Some(Instant::from_millis(9)));
+        assert!(!q.is_empty());
         q.pop();
-        assert!(!q.has_live_events());
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -826,7 +720,7 @@ mod tests {
         // Moved to b's instant, a now queues behind b, as a fresh push would.
         assert_eq!(q.reschedule(a, Instant::from_millis(5)), Some(a));
         q.push(Instant::from_millis(5), "c");
-        assert_eq!(q.peek_time(), Some(Instant::from_millis(5)));
+        assert_eq!(q.next_live_time(), Some(Instant::from_millis(5)));
         assert_eq!(q.pop(), Some((Instant::from_millis(5), "b")));
         assert_eq!(q.pop(), Some((Instant::from_millis(5), "a")));
         assert_eq!(q.pop(), Some((Instant::from_millis(5), "c")));
@@ -926,12 +820,12 @@ mod tests {
         q.add_lane(Duration::from_millis(70));
         let t = Instant::from_millis(100);
         q.push(t, "heap-a"); // delay 100: the heap
-        q.push(Instant::from_millis(70), "lane-0"); // delay 70: the lane
-        assert_eq!((q.heap.len(), q.laned), (1, 1));
+        q.push(Instant::from_millis(70), "lane-0"); // delay 70: the lane's front
+        assert_eq!((q.heap.len(), q.laned), (2, 0));
         assert_eq!(q.pop(), Some((Instant::from_millis(70), "lane-0")));
         q.push(Instant::from_millis(140), "later"); // the lane
         q.push(t, "heap-b"); // delay 30 from now = 70: the heap
-        assert_eq!((q.heap.len(), q.laned), (2, 1));
+        assert_eq!((q.heap.len(), q.laned), (3, 0));
         assert_eq!(q.pop(), Some((t, "heap-a")));
         q.push(Instant::from_millis(170), "lane-c");
         q.push(Instant::from_millis(140), "heap-d");
@@ -950,7 +844,7 @@ mod tests {
         let a = q.push(Instant::from_millis(10), "a");
         q.push(Instant::from_millis(10), "b");
         q.push(Instant::from_millis(25), "c");
-        assert_eq!(q.laned, 2);
+        assert_eq!((q.heap.len(), q.laned), (2, 1), "a is the lane's front");
         assert_eq!(q.reschedule(a, Instant::from_millis(30)), Some(a));
         assert_eq!(q.next_live_time(), Some(Instant::from_millis(10)));
         assert_eq!(q.pop(), Some((Instant::from_millis(10), "b")));

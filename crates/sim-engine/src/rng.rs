@@ -215,11 +215,6 @@ impl Rng {
         Duration::from_nanos(self.range_u64(lo.as_nanos(), hi.as_nanos()))
     }
 
-    /// Exponentially distributed [`Duration`] with the given mean.
-    pub fn exp_duration(&mut self, mean: Duration) -> Duration {
-        Duration::from_secs_f64(self.exp(mean.as_secs_f64()))
-    }
-
     /// Pick a uniformly random element of a non-empty slice.
     ///
     /// # Panics

@@ -65,6 +65,6 @@ mod tests {
         let n = run_until(&mut q, &mut t, Instant::from_millis(300));
         assert_eq!(n, 4); // 0, 100, 200, 300 ms
         assert_eq!(*t.fired_at.last().unwrap(), Instant::from_millis(300));
-        assert_eq!(q.peek_time(), Some(Instant::from_millis(400)));
+        assert_eq!(q.next_live_time(), Some(Instant::from_millis(400)));
     }
 }

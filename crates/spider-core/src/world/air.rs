@@ -62,6 +62,13 @@ impl World {
                 ap,
                 frame,
             } => {
+                // The only broadcast an AP sends is a beacon, and the
+                // order of its audience cannot matter: a receiver's beacon
+                // touches only that receiver's own state (its radio,
+                // position and link-budget caches, PHY RNG stream, scan
+                // table and heard set). Its join FSM answers a beacon with
+                // no action, so nothing is queued and no sequence number
+                // is drawn.
                 for client in audience {
                     self.on_air_to_client(client, ap, &frame, sched);
                 }

@@ -59,15 +59,19 @@ impl Iface {
 
     /// Back to Idle, keeping only the address; the queued timer is
     /// cancelled.
+    ///
+    /// This is the one place an interface's timer is cancelled, because
+    /// an Idle interface has none queued: an interface becomes Idle only
+    /// here or in [`Iface::new`], and every arm is made on a busy one (the
+    /// MAC and DHCP timers by a live join, `BeginJoin` right after
+    /// `begin_associating`, `NextObject` on the holder of a connection).
+    /// A MAC or DHCP `Failed` action, which resets the interface, comes
+    /// alone, so no arm follows it in the same batch.
     fn reset(&mut self, sched: &mut Sched) {
-        self.cancel_timer(sched);
-        *self = Iface::new(self.addr);
-    }
-
-    fn cancel_timer(&mut self, sched: &mut Sched) {
         if let Some((id, _)) = self.timer.take() {
             sched.queue.cancel(id);
         }
+        *self = Iface::new(self.addr);
     }
 }
 
@@ -493,8 +497,9 @@ impl World {
         started
     }
 
-    /// Point interface `iface` at AP `ap`, start its join clock and
-    /// cancel its queued timer.
+    /// Point interface `iface` at AP `ap` and start its join clock. The
+    /// interface is Idle, or its `BeginJoin` timer has just fired, so it
+    /// has no queued timer (see [`Iface::reset`]).
     fn begin_associating(
         &mut self,
         client: usize,
@@ -503,7 +508,7 @@ impl World {
         sched: &mut Sched,
     ) -> &mut Iface {
         let slot = &mut self.clients[client].ifaces[iface];
-        slot.cancel_timer(sched);
+        debug_assert!(slot.timer.is_none(), "a joining interface has a timer");
         slot.state = IfaceState::Associating;
         slot.ap = Some(ap);
         slot.join_started = Some(sched.now);

@@ -182,11 +182,6 @@ impl BulkSender {
         (self.snd_nxt - self.snd_una) as u64
     }
 
-    /// Bytes currently unacknowledged (diagnostics).
-    pub fn flight_bytes(&self) -> u64 {
-        self.flight()
-    }
-
     fn arm(&self) -> SenderAction {
         SenderAction::ArmTimer {
             after: self.rtt.rto(),

@@ -5,7 +5,7 @@
 //! every multi-AP client relies on: when a station's last frame carried the
 //! power-management bit, downlink traffic is buffered instead of
 //! transmitted, and released when the station returns (null frame with the
-//! bit clear) or polls (PS-Poll).
+//! bit clear).
 //!
 //! Management responses carry a small *processing delay* drawn per response;
 //! the dominant component of the paper's `β` (join response time) is the
@@ -323,32 +323,6 @@ impl<P: Payload> ApMac<P> {
                     }
                 }
             }
-            FrameBody::PsPoll { aid } if directed => {
-                let max_age = self.config.psm_frame_max_age;
-                let Some(entry) = self.stations.get_mut(&station) else {
-                    return;
-                };
-                if entry.aid != *aid {
-                    return;
-                }
-                entry.rebuffer_cursor = 0;
-                // Age out stale frames first.
-                while let Some((at, _)) = entry.buffer.front() {
-                    if now.saturating_since(*at) > max_age {
-                        entry.buffer.pop_front();
-                        self.counters.psm_expired += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let Some((_, payload)) = entry.buffer.pop_front() else {
-                    return;
-                };
-                let more = !entry.buffer.is_empty();
-                let mut f = Frame::data_from_ap(me, station, payload);
-                f.more_data = more;
-                out.push(self.send_data(f));
-            }
             // Class-3 frames from unassociated stations fall through to
             // the catch-all and produce nothing.
             FrameBody::Data(payload)
@@ -624,52 +598,6 @@ mod tests {
             }
         }
         assert_eq!(mac.buffered_for(sta(1)), 0);
-    }
-
-    #[test]
-    fn ps_poll_releases_one_frame_at_a_time() {
-        let mut mac = ap();
-        let mut r = rng();
-        let aid = associate(&mut mac, sta(1), Instant::ZERO, &mut r);
-        mac.on_frame(
-            &Frame::psm_enter(sta(1), mac.bssid()),
-            Instant::ZERO,
-            &mut r,
-        );
-        mac.deliver_downlink(sta(1), Bytes::from_static(b"a"), Instant::ZERO);
-        mac.deliver_downlink(sta(1), Bytes::from_static(b"b"), Instant::ZERO);
-        let poll = Frame::ps_poll(sta(1), mac.bssid(), aid);
-        let acts = mac.on_frame(&poll, Instant::ZERO, &mut r);
-        match &acts[0] {
-            ApAction::Send { frame, .. } => {
-                assert!(frame.more_data);
-                assert_eq!(frame.body, FrameBody::Data(Bytes::from_static(b"a")));
-            }
-            other => panic!("{other:?}"),
-        }
-        let acts = mac.on_frame(&poll, Instant::ZERO, &mut r);
-        match &acts[0] {
-            ApAction::Send { frame, .. } => assert!(!frame.more_data),
-            other => panic!("{other:?}"),
-        }
-        // Empty buffer: poll yields nothing.
-        assert!(mac.on_frame(&poll, Instant::ZERO, &mut r).is_empty());
-    }
-
-    #[test]
-    fn ps_poll_with_wrong_aid_ignored() {
-        let mut mac = ap();
-        let mut r = rng();
-        let aid = associate(&mut mac, sta(1), Instant::ZERO, &mut r);
-        mac.on_frame(
-            &Frame::psm_enter(sta(1), mac.bssid()),
-            Instant::ZERO,
-            &mut r,
-        );
-        mac.deliver_downlink(sta(1), Bytes::from_static(b"x"), Instant::ZERO);
-        let poll = Frame::ps_poll(sta(1), mac.bssid(), aid + 1);
-        assert!(mac.on_frame(&poll, Instant::ZERO, &mut r).is_empty());
-        assert_eq!(mac.buffered_for(sta(1)), 1);
     }
 
     #[test]

@@ -7,15 +7,13 @@
 //!
 //! * management: beacon, probe request/response, open-system authentication,
 //!   association request/response, disassociation, deauthentication;
-//! * control: PS-Poll (power-save delivery poll) and ACK;
 //! * data: data frames and the null-data frame whose *power management* bit
 //!   is how Spider (and Virtual Wi-Fi/FatVAP/Juggler before it) asks an AP
 //!   to buffer traffic while the radio serves another channel.
 //!
-//! Layout notes: frames are little-endian as on the air. Control frames use
-//! their genuine short headers (PS-Poll carries the association id in the
-//! duration field; ACK has only a receiver address). FCS is not carried —
-//! frame loss is the PHY model's job, not a checksum's.
+//! Layout notes: frames are little-endian as on the air. No control frame
+//! is modelled: a decoded one is [`FrameError::Unsupported`]. FCS is not
+//! carried — frame loss is the PHY model's job, not a checksum's.
 //!
 //! A data frame's payload is a type parameter bounded by [`Payload`]: the
 //! frame needs only its wire length (for airtime) and, for the byte codec,
@@ -45,8 +43,6 @@ mod subtype {
     pub const DISASSOC: u8 = 10;
     pub const AUTH: u8 = 11;
     pub const DEAUTH: u8 = 12;
-    pub const PS_POLL: u8 = 10; // control
-    pub const ACK: u8 = 13; // control
     pub const DATA: u8 = 0;
     pub const NULL: u8 = 4;
 }
@@ -226,7 +222,7 @@ pub struct AssocRespBody {
     pub capability: u16,
     /// Status code; [`STATUS_SUCCESS`] grants the association.
     pub status: u16,
-    /// Association id (AID) assigned by the AP; used in PS-Poll.
+    /// Association id (AID) assigned by the AP.
     pub aid: u16,
 }
 
@@ -286,13 +282,6 @@ pub enum FrameBody<P = Bytes> {
     /// bit. Spider sends one with `power_mgmt = true` to every associated AP
     /// on a channel right before switching away.
     Null,
-    /// Power-save poll: asks the AP to release one buffered frame.
-    PsPoll {
-        /// The association id assigned at association time.
-        aid: u16,
-    },
-    /// Link-layer acknowledgement.
-    Ack,
 }
 
 impl<P> FrameBody<P> {
@@ -306,8 +295,6 @@ impl<P> FrameBody<P> {
             FrameBody::Disassoc { .. } => (ftype::MGMT, subtype::DISASSOC),
             FrameBody::Auth(_) => (ftype::MGMT, subtype::AUTH),
             FrameBody::Deauth { .. } => (ftype::MGMT, subtype::DEAUTH),
-            FrameBody::PsPoll { .. } => (ftype::CTRL, subtype::PS_POLL),
-            FrameBody::Ack => (ftype::CTRL, subtype::ACK),
             FrameBody::Data(_) => (ftype::DATA, subtype::DATA),
             FrameBody::Null => (ftype::DATA, subtype::NULL),
         }
@@ -327,8 +314,6 @@ impl<P> FrameBody<P> {
             FrameBody::Deauth { .. } => "deauth",
             FrameBody::Data(_) => "data",
             FrameBody::Null => "null",
-            FrameBody::PsPoll { .. } => "ps-poll",
-            FrameBody::Ack => "ack",
         }
     }
 }
@@ -349,7 +334,7 @@ pub struct Frame<P = Bytes> {
     pub addr3: MacAddr,
     /// Sequence number (12 bits used).
     pub seq: u16,
-    /// Duration field (µs); PS-Poll reuses it for the AID on the wire.
+    /// Duration field (µs).
     pub duration: u16,
     /// Power-management bit: station is entering power-save mode. The
     /// centrepiece of virtualized Wi-Fi.
@@ -497,19 +482,6 @@ impl<P> Frame<P> {
         f
     }
 
-    /// A PS-Poll requesting one buffered frame for `aid`.
-    pub fn ps_poll(station: MacAddr, bssid: MacAddr, aid: u16) -> Frame<P> {
-        Frame::new(bssid, station, bssid, FrameBody::PsPoll { aid })
-    }
-
-    /// A link-layer ACK addressed to `to`.
-    ///
-    /// ACK carries only a receiver address on the wire; `addr2`/`addr3` are
-    /// set to `to` as placeholders.
-    pub fn ack(to: MacAddr) -> Frame<P> {
-        Frame::new(to, to, to, FrameBody::Ack)
-    }
-
     /// True if this frame is addressed to `me` (or broadcast).
     pub fn is_for(&self, me: MacAddr) -> bool {
         self.addr1 == me || self.addr1.is_broadcast()
@@ -547,24 +519,6 @@ impl<P: Payload> Frame<P> {
             fc |= 1 << 13;
         }
         buf.put_u16_le(fc);
-
-        match &self.body {
-            FrameBody::PsPoll { aid } => {
-                // PS-Poll: FC, AID (in the duration field), BSSID, TA.
-                buf.put_u16_le(*aid | 0xC000); // two MSBs set per the standard
-                buf.put_slice(&self.addr1.octets());
-                buf.put_slice(&self.addr2.octets());
-                return;
-            }
-            FrameBody::Ack => {
-                // ACK: FC, duration, RA.
-                buf.put_u16_le(self.duration);
-                buf.put_slice(&self.addr1.octets());
-                return;
-            }
-            _ => {}
-        }
-
         buf.put_u16_le(self.duration);
         buf.put_slice(&self.addr1.octets());
         buf.put_slice(&self.addr2.octets());
@@ -604,7 +558,6 @@ impl<P: Payload> Frame<P> {
             }
             FrameBody::Data(payload) => payload.encode_into(buf),
             FrameBody::Null => {}
-            FrameBody::PsPoll { .. } | FrameBody::Ack => unreachable!("handled above"),
         }
     }
 
@@ -615,25 +568,17 @@ impl<P: Payload> Frame<P> {
     /// path. Kept in lockstep with [`Frame::encode`] by a property test
     /// (`wire_len() == encode().len()` over generated frames).
     pub fn wire_len(&self) -> usize {
-        match &self.body {
-            // Control frames carry short headers.
-            FrameBody::PsPoll { .. } => 2 + 2 + 6 + 6, // FC, AID, BSSID, TA
-            FrameBody::Ack => 2 + 2 + 6,               // FC, duration, RA
-            // Everything else: 24-byte header (FC, duration, three
-            // addresses, sequence control) plus the typed body.
-            body => {
-                24 + match body {
-                    FrameBody::Beacon(b) | FrameBody::ProbeResp(b) => beacon_body_len(&b.ssid),
-                    FrameBody::ProbeReq { ssid } => ssid_ie_len(ssid),
-                    FrameBody::Auth(_) => 6,
-                    FrameBody::AssocReq(a) => 2 + 2 + ssid_ie_len(&a.ssid),
-                    FrameBody::AssocResp(_) => 6,
-                    FrameBody::Disassoc { .. } | FrameBody::Deauth { .. } => 2,
-                    FrameBody::Data(payload) => payload.wire_len(),
-                    FrameBody::Null => 0,
-                    FrameBody::PsPoll { .. } | FrameBody::Ack => unreachable!("handled above"),
-                }
-            }
+        // A 24-byte header (FC, duration, three addresses, sequence
+        // control) plus the typed body.
+        24 + match &self.body {
+            FrameBody::Beacon(b) | FrameBody::ProbeResp(b) => beacon_body_len(&b.ssid),
+            FrameBody::ProbeReq { ssid } => ssid_ie_len(ssid),
+            FrameBody::Auth(_) => 6,
+            FrameBody::AssocReq(a) => 2 + 2 + ssid_ie_len(&a.ssid),
+            FrameBody::AssocResp(_) => 6,
+            FrameBody::Disassoc { .. } | FrameBody::Deauth { .. } => 2,
+            FrameBody::Data(payload) => payload.wire_len(),
+            FrameBody::Null => 0,
         }
     }
 }
@@ -658,11 +603,7 @@ impl Frame {
     }
 
     /// Decode from wire bytes; a data frame's payload comes back as raw
-    /// bytes.
-    ///
-    /// Control frames fill their absent address fields from the present
-    /// ones: a decoded ACK has `addr2 == addr3 == addr1`, and a decoded
-    /// PS-Poll has `addr3 == addr1` (the BSSID).
+    /// bytes. Every control frame is [`FrameError::Unsupported`].
     pub fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
         let mut buf = Reader::new(bytes);
         let fc = buf.get_u16_le()?;
@@ -674,48 +615,13 @@ impl Frame {
         let power_mgmt = fc & (1 << 12) != 0;
         let more_data = fc & (1 << 13) != 0;
 
+        // Checked before the header is read: a control frame's header is
+        // shorter than the one below.
         if t == ftype::CTRL {
-            return match s {
-                subtype::PS_POLL => {
-                    let aid = buf.get_u16_le()? & 0x3FFF;
-                    let bssid = take_addr(&mut buf)?;
-                    let ta = take_addr(&mut buf)?;
-                    Ok(Frame {
-                        addr1: bssid,
-                        addr2: ta,
-                        addr3: bssid,
-                        seq: 0,
-                        duration: 0,
-                        power_mgmt,
-                        more_data,
-                        retry,
-                        to_ds,
-                        from_ds,
-                        body: FrameBody::PsPoll { aid },
-                    })
-                }
-                subtype::ACK => {
-                    let duration = buf.get_u16_le()?;
-                    let ra = take_addr(&mut buf)?;
-                    Ok(Frame {
-                        addr1: ra,
-                        addr2: ra,
-                        addr3: ra,
-                        seq: 0,
-                        duration,
-                        power_mgmt,
-                        more_data,
-                        retry,
-                        to_ds,
-                        from_ds,
-                        body: FrameBody::Ack,
-                    })
-                }
-                _ => Err(FrameError::Unsupported {
-                    ftype: t,
-                    subtype: s,
-                }),
-            };
+            return Err(FrameError::Unsupported {
+                ftype: t,
+                subtype: s,
+            });
         }
 
         let duration = buf.get_u16_le()?;
@@ -932,29 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn ps_poll_roundtrip_keeps_aid() {
-        let f = Frame::ps_poll(sta(), ap(), 0x1234 & 0x3FFF);
-        let g = roundtrip(&f);
-        assert_eq!(
-            g.body,
-            FrameBody::PsPoll {
-                aid: 0x1234 & 0x3FFF
-            }
-        );
-        assert_eq!(g.addr1, ap()); // BSSID
-        assert_eq!(g.addr2, sta()); // TA
-        assert_eq!(g.addr3, ap()); // filled from BSSID
-    }
-
-    #[test]
-    fn ack_roundtrip() {
-        let f = Frame::ack(sta());
-        let g = roundtrip(&f);
-        assert_eq!(g.body, FrameBody::Ack);
-        assert_eq!(g.addr1, sta());
-    }
-
-    #[test]
     fn disassoc_deauth_roundtrip() {
         let mut d = Frame::new(
             ap(),
@@ -1003,6 +886,18 @@ mod tests {
                 subtype: 6
             })
         ));
+        // Control frames are not modelled: a PS-Poll (subtype 10, 16 bytes
+        // on the air), an ACK (subtype 13, 10 bytes) and a bare control FC
+        // are each unsupported, not truncated and not a panic.
+        for (subtype, len) in [(10u8, 16), (13, 10), (13, 2)] {
+            let fc = (1u16 << 2) | (u16::from(subtype) << 4);
+            let mut bytes = fc.to_le_bytes().to_vec();
+            bytes.resize(len, 0);
+            assert_eq!(
+                Frame::decode(&bytes),
+                Err(FrameError::Unsupported { ftype: 1, subtype })
+            );
+        }
     }
 
     #[test]
@@ -1029,10 +924,6 @@ mod tests {
         let beacon = Frame::beacon(ap(), Ssid::new("abcdefgh"), Channel::CH6, 0);
         // 24 hdr + 12 fixed + (2+8) ssid ie + 3 ds ie = 49
         assert_eq!(beacon.wire_len(), 49);
-        let ack: Frame = Frame::ack(sta());
-        assert_eq!(ack.wire_len(), 10);
-        let pspoll: Frame = Frame::ps_poll(sta(), ap(), 1);
-        assert_eq!(pspoll.wire_len(), 16);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`channel`] — 2.4 GHz channels; orthogonality of 1/6/11.
 //! * [`frame`] — the frame wire formats the join and data paths use,
 //!   including the PSM machinery (null frames with the power-management
-//!   bit, PS-Poll) that virtualized Wi-Fi is built on.
+//!   bit) that virtualized Wi-Fi is built on.
 //! * [`phy`] — path loss, frame error rate, and airtime at 11 Mb/s.
 //! * [`client`] — the station-side join state machine with configurable
 //!   link-layer timeouts (the paper's 1 s default vs 100 ms reduced).

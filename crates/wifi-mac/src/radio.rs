@@ -94,11 +94,6 @@ impl Radio {
         now < self.busy_until
     }
 
-    /// The instant the current switch completes.
-    pub fn ready_at(&self) -> Instant {
-        self.busy_until
-    }
-
     /// True if the radio can exchange frames on `ch` at `now`.
     pub fn can_hear(&self, ch: Channel, now: Instant) -> bool {
         !self.is_busy(now) && self.channel == ch

@@ -83,12 +83,10 @@ fn frame_decode_survives_truncation() {
 fn psm_control_frames_roundtrip() {
     check("psm_control_frames_roundtrip", |g| {
         let (sta, bssid) = (gen_mac(g), gen_mac(g));
-        let aid = g.u32_in(0, 0x3FFF) as u16;
         let enter = Frame::psm_enter(sta, bssid);
         prop_assert_eq!(Frame::decode(&enter.encode()).unwrap(), enter);
-        let poll: Frame = Frame::ps_poll(sta, bssid, aid);
-        let decoded = Frame::decode(&poll.encode()).unwrap();
-        prop_assert_eq!(decoded.body, FrameBody::PsPoll { aid });
+        let exit = Frame::psm_exit(sta, bssid);
+        prop_assert_eq!(Frame::decode(&exit.encode()).unwrap(), exit);
         Ok(())
     });
 }
@@ -988,7 +986,7 @@ fn gen_frame<P>(g: &mut Gen, data: impl FnOnce(&mut Gen) -> P) -> Frame<P> {
 
     let a = gen_mac(g);
     let b = gen_mac(g);
-    let body = match g.usize_in(0, 11) {
+    let body = match g.usize_in(0, 10) {
         0 => FrameBody::Beacon(BeaconBody::advertising(
             gen_ssid(g),
             gen_channel(g),
@@ -1022,11 +1020,7 @@ fn gen_frame<P>(g: &mut Gen, data: impl FnOnce(&mut Gen) -> P) -> Frame<P> {
             reason: g.u32_in(0, 99) as u16,
         },
         8 => FrameBody::Data(data(g)),
-        9 => FrameBody::Null,
-        10 => FrameBody::PsPoll {
-            aid: g.u32_in(0, 2007) as u16,
-        },
-        _ => FrameBody::Ack,
+        _ => FrameBody::Null,
     };
     let mut f = Frame::new(a, b, gen_mac(g), body);
     f.seq = g.u32_in(0, 0x0FFF) as u16;
