@@ -49,89 +49,13 @@ step "bench-e2e tests (its own workspace; golden byte-identity digests)"
 # or moves its output fails here.
 cargo test -q --offline --release --manifest-path bench-e2e/Cargo.toml
 
-step "campaign cache smoke test (fig5 again and after a torn manifest: all hits; after a corrupt record: one miss)"
-smoke_dir=$(mktemp -d target/campaign-smoke.XXXXXX)
-trap 'rm -rf "$smoke_dir"' EXIT
-# Two separate OS processes with deliberately different irrelevant
-# environments: cache hits require byte-identical records, so this also
-# proves results don't depend on per-process state (hash-map iteration
-# order, env contents, ASLR).
-SPIDER_ORDER_PROBE=first-process-aaaa \
-    ./target/release/experiments fig5 --scale 1 --cache-dir "$smoke_dir/cache" \
-    >"$smoke_dir/first.out" 2>"$smoke_dir/first.err"
-SPIDER_ORDER_PROBE=second-process-zzzz-different-length \
-    ./target/release/experiments fig5 --scale 1 --cache-dir "$smoke_dir/cache" \
-    >"$smoke_dir/second.out" 2>"$smoke_dir/second.err"
-if ! cmp -s "$smoke_dir/first.out" "$smoke_dir/second.out"; then
-    echo "error: cached second fig5 run is not byte-identical to the first" >&2
-    diff "$smoke_dir/first.out" "$smoke_dir/second.out" >&2 || true
-    exit 1
-fi
-if ! grep -q 'campaign: [0-9]* shards — [0-9]* hits, 0 misses, 0 cancelled' \
-    "$smoke_dir/second.err"; then
-    echo "error: second fig5 run was not served 100% from cache:" >&2
-    cat "$smoke_dir/second.err" >&2
-    exit 1
-fi
-# The manifest is an audit log, not the resume index: a torn non-UTF-8
-# tail (a kill that cut a multi-byte label in half) must cost no hits.
-printf '{"shard":"fig5 \xce' >>"$smoke_dir/cache/manifest.jsonl"
-./target/release/experiments fig5 --scale 1 --cache-dir "$smoke_dir/cache" \
-    >"$smoke_dir/third.out" 2>"$smoke_dir/third.err"
-if ! cmp -s "$smoke_dir/first.out" "$smoke_dir/third.out"; then
-    echo "error: fig5 after a torn manifest tail is not byte-identical to the first run" >&2
-    diff "$smoke_dir/first.out" "$smoke_dir/third.out" >&2 || true
-    exit 1
-fi
-if ! grep -q 'campaign: [0-9]* shards — [0-9]* hits, 0 misses, 0 cancelled' \
-    "$smoke_dir/third.err"; then
-    echo "error: fig5 after a torn manifest tail was not served 100% from cache:" >&2
-    cat "$smoke_dir/third.err" >&2
-    exit 1
-fi
-# A corrupt record is a miss, not a crash: a record of 200 000 nested
-# objects must cost exactly one re-run shard, never a stack overflow.
-records=("$smoke_dir"/cache/reports/*.json)
-awk 'BEGIN { for (i = 0; i < 200000; i++) printf "{\"v\":" }' >"${records[0]}"
-./target/release/experiments fig5 --scale 1 --cache-dir "$smoke_dir/cache" \
-    >"$smoke_dir/fourth.out" 2>"$smoke_dir/fourth.err"
-if ! cmp -s "$smoke_dir/first.out" "$smoke_dir/fourth.out"; then
-    echo "error: fig5 after a corrupt record is not byte-identical to the first run" >&2
-    diff "$smoke_dir/first.out" "$smoke_dir/fourth.out" >&2 || true
-    exit 1
-fi
-if ! grep -q 'campaign: [0-9]* shards — [0-9]* hits, 1 misses, 0 cancelled' \
-    "$smoke_dir/fourth.err"; then
-    echo "error: fig5 after a corrupt record did not re-run exactly one shard:" >&2
-    cat "$smoke_dir/fourth.err" >&2
-    exit 1
-fi
-echo "ok: second run 100% cache hits, stdout byte-identical; a torn manifest tail costs no hits; a corrupt record costs one miss"
-
-step "fleet smoke test (fig5 --exec process: identical output, then all hits)"
-# The same fig5 campaign executed on worker OS processes over the framed
-# stdin/stdout protocol must be byte-identical to the threaded run above,
-# and a second process-mode pass must be served 100% from its own cache.
-./target/release/experiments fig5 --scale 1 --workers 4 --exec process \
-    --cache-dir "$smoke_dir/fleet-cache" \
-    >"$smoke_dir/fleet.out" 2>"$smoke_dir/fleet.err"
-if ! cmp -s "$smoke_dir/first.out" "$smoke_dir/fleet.out"; then
-    echo "error: --exec process fig5 output differs from the threaded run" >&2
-    diff "$smoke_dir/first.out" "$smoke_dir/fleet.out" >&2 || true
-    exit 1
-fi
-./target/release/experiments fig5 --scale 1 --workers 4 --exec process \
-    --cache-dir "$smoke_dir/fleet-cache" \
-    >"$smoke_dir/fleet2.out" 2>"$smoke_dir/fleet2.err"
-if ! grep -q 'campaign: [0-9]* shards — [0-9]* hits, 0 misses, 0 cancelled' \
-    "$smoke_dir/fleet2.err"; then
-    echo "error: second --exec process fig5 run was not served 100% from cache:" >&2
-    cat "$smoke_dir/fleet2.err" >&2
-    exit 1
-fi
-echo "ok: process-exec output byte-identical to threads, second pass all hits"
+# The fig5 campaign's cache and process-exec checks (a second process in
+# another environment, a torn manifest tail, a corrupt record, a worker
+# crash) run under `cargo test` above: crates/experiments/tests/fleet_fault.rs.
 
 step "metro smoke test (channel-assignment twice, byte-identical + all hits)"
+smoke_dir=$(mktemp -d target/campaign-smoke.XXXXXX)
+trap 'rm -rf "$smoke_dir"' EXIT
 # The 1024-AP metro worlds behind the channel-assignment experiment must
 # hold the same determinism contract as fig5: two OS processes sharing a
 # cache directory produce byte-identical stdout, and the second is served

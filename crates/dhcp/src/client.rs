@@ -225,26 +225,6 @@ impl DhcpClient {
         }
     }
 
-    /// Release the bound lease (when leaving an AP gracefully). Returns the
-    /// RELEASE message to transmit, if there was a lease.
-    pub fn release(&mut self) -> Vec<DhcpAction> {
-        let out = match (self.state, self.lease) {
-            (State::Bound, Some(lease)) => {
-                let xid = self.next_xid();
-                vec![DhcpAction::Send(DhcpMessage::release(
-                    xid,
-                    self.chaddr,
-                    lease.ip,
-                    lease.server,
-                ))]
-            }
-            _ => Vec::new(),
-        };
-        self.state = State::Idle;
-        self.attempt_started = None;
-        out
-    }
-
     /// Feed a received DHCP message at `now`.
     pub fn handle_message(&mut self, msg: &DhcpMessage, now: Instant) -> Vec<DhcpAction> {
         if msg.chaddr != self.chaddr || msg.xid != self.xid {
@@ -511,19 +491,6 @@ mod tests {
         wrong_ch.chaddr = [9; 6];
         assert!(c.handle_message(&wrong_ch, Instant::ZERO).is_empty());
         assert!(c.is_acquiring());
-    }
-
-    #[test]
-    fn release_emits_message_and_resets() {
-        let mut c = client(DhcpClientConfig::default());
-        let acts = c.start(Instant::ZERO, None);
-        let xid = sent_xid(&acts);
-        c.handle_message(&DhcpMessage::offer(xid, CH, IP, SRV, 60), Instant::ZERO);
-        c.handle_message(&DhcpMessage::ack(xid, CH, IP, SRV, 60), Instant::ZERO);
-        let acts = c.release();
-        assert!(matches!(&acts[0], DhcpAction::Send(m) if m.msg_type == MessageType::Release));
-        assert!(!c.is_bound());
-        assert!(c.lease().is_none());
     }
 
     #[test]

@@ -42,8 +42,6 @@ pub enum MessageType {
     Ack,
     /// Server refusal.
     Nak,
-    /// Client releases its lease.
-    Release,
 }
 
 impl MessageType {
@@ -54,7 +52,6 @@ impl MessageType {
             MessageType::Request => 3,
             MessageType::Ack => 5,
             MessageType::Nak => 6,
-            MessageType::Release => 7,
         }
     }
 
@@ -65,7 +62,6 @@ impl MessageType {
             3 => MessageType::Request,
             5 => MessageType::Ack,
             6 => MessageType::Nak,
-            7 => MessageType::Release,
             _ => return None,
         })
     }
@@ -79,7 +75,6 @@ impl fmt::Display for MessageType {
             MessageType::Request => "REQUEST",
             MessageType::Ack => "ACK",
             MessageType::Nak => "NAK",
-            MessageType::Release => "RELEASE",
         };
         write!(f, "{s}")
     }
@@ -231,24 +226,6 @@ impl DhcpMessage {
             yiaddr: Ipv4Addr::UNSPECIFIED,
             chaddr,
             msg_type: MessageType::Nak,
-            requested_ip: None,
-            server_id: Some(server),
-            lease_secs: None,
-            subnet_mask: None,
-            router: None,
-        }
-    }
-
-    /// A client RELEASE of `ip` back to `server`.
-    pub fn release(xid: u32, chaddr: [u8; 6], ip: Ipv4Addr, server: Ipv4Addr) -> DhcpMessage {
-        DhcpMessage {
-            op: OP_REQUEST,
-            xid,
-            secs: 0,
-            ciaddr: ip,
-            yiaddr: Ipv4Addr::UNSPECIFIED,
-            chaddr,
-            msg_type: MessageType::Release,
             requested_ip: None,
             server_id: Some(server),
             lease_secs: None,
@@ -466,10 +443,15 @@ mod tests {
             DhcpMessage::request(2, CH, IP, SRV),
             DhcpMessage::ack(2, CH, IP, SRV, 600),
             DhcpMessage::nak(2, CH, SRV),
-            DhcpMessage::release(3, CH, IP, SRV),
         ] {
             assert_eq!(roundtrip(&m), m);
         }
+        // A RELEASE (type 7) does not round-trip: no station leaves
+        // gracefully, so the type is not modelled.
+        let mut bytes = DhcpMessage::request(3, CH, IP, SRV).encode().to_vec();
+        assert_eq!(bytes[240..243], [OPT_MSG_TYPE, 1, 3]);
+        bytes[242] = 7;
+        assert_eq!(DhcpMessage::decode(&bytes), Err(DhcpError::BadMessageType));
     }
 
     #[test]
@@ -505,6 +487,11 @@ mod tests {
         bytes[240] = OPT_PAD;
         bytes[241] = OPT_PAD;
         bytes[242] = OPT_PAD;
+        assert_eq!(DhcpMessage::decode(&bytes), Err(DhcpError::BadMessageType));
+        // Type 7 (RELEASE) is not modelled: no station leaves gracefully.
+        let mut bytes = DhcpMessage::discover(1, CH).encode().to_vec();
+        assert_eq!(bytes[240..243], [OPT_MSG_TYPE, 1, 1]);
+        bytes[242] = 7;
         assert_eq!(DhcpMessage::decode(&bytes), Err(DhcpError::BadMessageType));
     }
 

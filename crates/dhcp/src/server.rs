@@ -94,11 +94,6 @@ impl DhcpServer {
         }
     }
 
-    /// Server configuration.
-    pub fn config(&self) -> &DhcpServerConfig {
-        &self.config
-    }
-
     /// Counters.
     pub fn counters(&self) -> ServerCounters {
         self.counters
@@ -154,7 +149,7 @@ impl DhcpServer {
 
     /// Process a client message at `now`. Returns the reply and the delay
     /// after which it leaves the server, or `None` when the server stays
-    /// silent (ignored, pool exhausted, RELEASE).
+    /// silent (ignored, pool exhausted).
     pub fn on_message(
         &mut self,
         msg: &DhcpMessage,
@@ -252,10 +247,6 @@ impl DhcpServer {
                     let reply = DhcpMessage::nak(msg.xid, msg.chaddr, self.config.server_ip);
                     Some((self.delay(rng), reply))
                 }
-            }
-            MessageType::Release => {
-                self.leases.remove(&msg.chaddr);
-                None
             }
             // Server ignores server-originated types echoed back.
             MessageType::Offer | MessageType::Ack | MessageType::Nak => None,
@@ -434,21 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn release_frees_address() {
-        let mut s = server((1, 2));
-        let mut rng = Rng::new(10);
-        let (_, offer) = s
-            .on_message(&DhcpMessage::discover(1, CH1), Instant::ZERO, &mut rng)
-            .unwrap();
-        let req = DhcpMessage::request(1, CH1, offer.yiaddr, offer.server_id.unwrap());
-        s.on_message(&req, Instant::ZERO, &mut rng).unwrap();
-        assert_eq!(s.live_leases(Instant::ZERO), 1);
-        let rel = DhcpMessage::release(2, CH1, offer.yiaddr, offer.server_id.unwrap());
-        assert!(s.on_message(&rel, Instant::ZERO, &mut rng).is_none());
-        assert_eq!(s.live_leases(Instant::ZERO), 0);
-    }
-
-    #[test]
     fn ignore_prob_one_never_answers() {
         let mut cfg =
             DhcpServerConfig::for_ap(1, Duration::from_millis(1), Duration::from_millis(2));
@@ -463,20 +439,17 @@ mod tests {
 
     #[test]
     fn delay_spans_configured_interval() {
-        let mut s = server((500, 5000)); // the paper's βmin..βmax flavour
         let mut rng = Rng::new(12);
         let mut lo = Duration::MAX;
         let mut hi = Duration::ZERO;
-        for xid in 0..200 {
-            let ch = [2, 0, 0, (xid >> 8) as u8, xid as u8, 0];
+        for _ in 0..200 {
+            // A fresh server per draw, so the pool never exhausts.
+            let mut s = server((500, 5000)); // the paper's βmin..βmax flavour
             let (d, _) = s
-                .on_message(&DhcpMessage::discover(1, ch), Instant::ZERO, &mut rng)
+                .on_message(&DhcpMessage::discover(1, CH1), Instant::ZERO, &mut rng)
                 .unwrap();
             lo = lo.min(d);
             hi = hi.max(d);
-            // Release so the pool never exhausts.
-            let rel = DhcpMessage::release(2, ch, Ipv4Addr::UNSPECIFIED, s.config().server_ip);
-            s.on_message(&rel, Instant::ZERO, &mut rng);
         }
         assert!(lo >= Duration::from_millis(500));
         assert!(hi < Duration::from_millis(5000));

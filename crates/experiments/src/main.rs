@@ -5,12 +5,12 @@
 //! experiments <target> [--seed N] [--scale K] [--json DIR]
 //!             [--workers N] [--cache-dir DIR] [--no-cache]
 //!             [--exec process|in-process]
-//!
-//! targets: fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-//!          fig13 fig14 table1 table2 table3 table4 density
-//!          sensitivity ablation speed adaptive encounters capacity
-//!          channel-assignment fleet-contention fleet-identity all
 //! ```
+//!
+//! A target is one of the paper's tables or figures (`fig5`, `table2`,
+//! …) or an extension experiment, each an entry of the `TARGETS` table,
+//! or `all`, which runs every entry in the table's order. A bad target
+//! prints the full list.
 //!
 //! `--scale K` multiplies run lengths by `K` (1 = quick pass; the paper's
 //! 30–60 minute drives correspond to roughly `--scale 4`).
@@ -40,6 +40,38 @@ mod model_figs;
 mod tcp_figs;
 
 use common::{Scale, DEFAULT_SEED};
+
+/// A target: the names that select it and what it runs.
+type Target = (&'static [&'static str], fn(Scale));
+
+/// Every target in `all`'s order. Dispatch, `all` and the usage line all
+/// read this table.
+const TARGETS: &[Target] = &[
+    (&["fig2"], |scale| model_figs::fig2(scale.seed)),
+    (&["fig3"], |_| model_figs::fig3()),
+    (&["fig4"], |_| model_figs::fig4()),
+    (&["fig5"], join_figs::fig5),
+    (&["fig6"], join_figs::fig6),
+    (&["fig7"], tcp_figs::fig7),
+    (&["fig8"], tcp_figs::fig8),
+    (&["table1"], tcp_figs::table1),
+    (&["fig9"], tcp_figs::fig9),
+    (&["fig10", "table2"], eval_figs::table2_fig10),
+    (&["density"], eval_figs::density),
+    (&["fig11", "table3"], join_figs::table3_fig11),
+    (&["fig12"], join_figs::fig12),
+    (&["table4"], eval_figs::table4),
+    (&["fig13", "fig14", "usability"], eval_figs::usability),
+    (&["sensitivity"], |_| model_figs::sensitivity_panel()),
+    (&["ablation"], extensions::ablation),
+    (&["speed"], extensions::speed_sweep),
+    (&["adaptive"], extensions::adaptive),
+    (&["encounters"], extensions::encounters),
+    (&["capacity"], extensions::capacity),
+    (&["channel-assignment"], metro_figs::channel_assignment),
+    (&["fleet-contention"], fleet_figs::fleet_contention),
+    (&["fleet-identity"], fleet_figs::fleet_identity),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -140,65 +172,30 @@ fn main() {
         "Spider (CoNEXT 2011) reproduction — seed {} scale {}",
         scale.seed, scale.factor
     );
-    match target.as_str() {
-        "fig2" => model_figs::fig2(scale.seed),
-        "fig3" => model_figs::fig3(),
-        "fig4" => model_figs::fig4(),
-        "fig5" => join_figs::fig5(scale),
-        "fig6" => join_figs::fig6(scale),
-        "fig7" => tcp_figs::fig7(scale),
-        "fig8" => tcp_figs::fig8(scale),
-        "fig9" => tcp_figs::fig9(scale),
-        "fig10" | "table2" => eval_figs::table2_fig10(scale),
-        "fig11" | "table3" => join_figs::table3_fig11(scale),
-        "fig12" => join_figs::fig12(scale),
-        "fig13" | "fig14" | "usability" => eval_figs::usability(scale),
-        "table1" => tcp_figs::table1(scale),
-        "table4" => eval_figs::table4(scale),
-        "density" => eval_figs::density(scale),
-        "sensitivity" => model_figs::sensitivity_panel(),
-        "ablation" => extensions::ablation(scale),
-        "speed" => extensions::speed_sweep(scale),
-        "adaptive" => extensions::adaptive(scale),
-        "encounters" => extensions::encounters(scale),
-        "capacity" => extensions::capacity(scale),
-        "channel-assignment" => metro_figs::channel_assignment(scale),
-        "fleet-contention" => fleet_figs::fleet_contention(scale),
-        "fleet-identity" => fleet_figs::fleet_identity(scale),
-        "all" => {
-            model_figs::fig2(scale.seed);
-            model_figs::fig3();
-            model_figs::fig4();
-            join_figs::fig5(scale);
-            join_figs::fig6(scale);
-            tcp_figs::fig7(scale);
-            tcp_figs::fig8(scale);
-            tcp_figs::table1(scale);
-            tcp_figs::fig9(scale);
-            eval_figs::table2_fig10(scale);
-            eval_figs::density(scale);
-            join_figs::table3_fig11(scale);
-            join_figs::fig12(scale);
-            eval_figs::table4(scale);
-            eval_figs::usability(scale);
-            model_figs::sensitivity_panel();
-            extensions::ablation(scale);
-            extensions::speed_sweep(scale);
-            extensions::adaptive(scale);
-            extensions::encounters(scale);
-            extensions::capacity(scale);
-            metro_figs::channel_assignment(scale);
-            fleet_figs::fleet_contention(scale);
-            fleet_figs::fleet_identity(scale);
+    if target == "all" {
+        for (_, run) in TARGETS {
+            run(scale);
         }
-        other => usage(&format!("unknown target {other}")),
+        return;
+    }
+    match TARGETS
+        .iter()
+        .find(|(names, _)| names.contains(&target.as_str()))
+    {
+        Some((_, run)) => run(scale),
+        None => usage(&format!("unknown target {target}")),
     }
 }
 
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
+    let names: Vec<&str> = TARGETS
+        .iter()
+        .flat_map(|(names, _)| names.iter().copied())
+        .collect();
     eprintln!(
-        "usage: experiments <fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|table1|table2|table3|table4|density|sensitivity|ablation|speed|adaptive|encounters|capacity|channel-assignment|fleet-contention|fleet-identity|all> [--seed N] [--scale K] [--json DIR] [--workers N] [--cache-dir DIR] [--no-cache] [--exec process|in-process]"
+        "usage: experiments <{}|all> [--seed N] [--scale K] [--json DIR] [--workers N] [--cache-dir DIR] [--no-cache] [--exec process|in-process]",
+        names.join("|")
     );
     std::process::exit(2);
 }

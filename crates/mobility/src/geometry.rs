@@ -35,11 +35,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Vector length.
-    pub fn norm(self) -> f64 {
-        self.distance(Point::ORIGIN)
-    }
-
     /// Dot product.
     pub fn dot(self, other: Point) -> f64 {
         self.x * other.x + self.y * other.y
@@ -125,7 +120,6 @@ mod tests {
         let b = Point::new(3.0, 4.0);
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.distance_sq(b), 25.0);
-        assert_eq!(b.norm(), 5.0);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// True for [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
 }
 
 /// Why [`parse`] rejected its input; each variant carries a byte offset.
@@ -371,7 +366,6 @@ mod tests {
             ][..]
         );
         assert_eq!(std::mem::size_of::<Value>(), 16);
-        assert!(items[0].is_null());
         assert_eq!(items[7].as_str(), Some("xA"));
         assert_eq!(v.get("b").and_then(Value::as_object), Some(&[][..]));
         assert_eq!(v.get("missing"), None);

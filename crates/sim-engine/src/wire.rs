@@ -7,17 +7,16 @@
 //! * [`Bytes`] — an immutable, cheaply cloneable byte buffer
 //!   (`Arc<[u8]>` under the hood). Frames and packets are cloned as they
 //!   fan out through the simulated network, so clones must be O(1).
-//! * [`Writer`] — an append-only encoder over a `Vec<u8>` with big- and
-//!   little-endian integer puts (u8/u16/u24/u32/u64) that freezes into a
-//!   [`Bytes`].
+//! * [`Writer`] — an append-only encoder over a `Vec<u8>` with the
+//!   integer puts listed below, that freezes into a [`Bytes`].
 //! * [`Reader`] — a bounds-checked decode cursor over a byte slice. Every
 //!   read returns `Result`, so truncated input surfaces as
 //!   [`WireError::Truncated`] instead of a panic (the semantics the codecs
 //!   previously borrowed from `bytes`' panicking getters).
 //!
-//! The integer widths cover what the workspace's layouts use: 802.11
-//! headers are little-endian u16-heavy, BOOTP/DHCP is big-endian, and u24
-//! exists for the occasional 3-byte field (e.g. OUI-style identifiers).
+//! The integers are the ones the workspace's layouts use: u8, big-endian
+//! u16, u32 and u64 (BOOTP/DHCP, TCP, the world and worker codecs), and
+//! little-endian u16 and u64 (802.11 headers and beacon timestamps).
 
 use core::fmt;
 use core::ops::Deref;
@@ -171,19 +170,9 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a big-endian u24 (low 24 bits of `v`).
-    pub fn put_u24(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes()[1..]);
-    }
-
     /// Append a big-endian u32.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Append a little-endian u32.
-    pub fn put_u32_le(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a big-endian u64.
@@ -310,22 +299,10 @@ impl<'a> Reader<'a> {
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    /// Read a big-endian u24 into the low bits of a u32.
-    pub fn get_u24(&mut self) -> Result<u32, WireError> {
-        let b = self.take(3)?;
-        Ok(u32::from_be_bytes([0, b[0], b[1], b[2]]))
-    }
-
     /// Read a big-endian u32.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?;
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Read a little-endian u32.
-    pub fn get_u32_le(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Read a big-endian u64.
@@ -355,9 +332,7 @@ mod tests {
         w.put_u8(0xAB);
         w.put_u16(0x1234);
         w.put_u16_le(0x1234);
-        w.put_u24(0x00AB_CDEF);
         w.put_u32(0xDEAD_BEEF);
-        w.put_u32_le(0xDEAD_BEEF);
         w.put_u64(0x0102_0304_0506_0708);
         w.put_u64_le(0x0102_0304_0506_0708);
         w.put_slice(b"xyz");
@@ -367,9 +342,7 @@ mod tests {
         assert_eq!(r.get_u8(), Ok(0xAB));
         assert_eq!(r.get_u16(), Ok(0x1234));
         assert_eq!(r.get_u16_le(), Ok(0x1234));
-        assert_eq!(r.get_u24(), Ok(0x00AB_CDEF));
         assert_eq!(r.get_u32(), Ok(0xDEAD_BEEF));
-        assert_eq!(r.get_u32_le(), Ok(0xDEAD_BEEF));
         assert_eq!(r.get_u64(), Ok(0x0102_0304_0506_0708));
         assert_eq!(r.get_u64_le(), Ok(0x0102_0304_0506_0708));
         assert_eq!(r.take(3), Ok(&b"xyz"[..]));
@@ -381,8 +354,11 @@ mod tests {
         let mut w = Writer::new();
         w.put_u16(0x0102);
         w.put_u16_le(0x0102);
-        w.put_u24(0x0A0B0C);
-        assert_eq!(w.into_vec(), vec![0x01, 0x02, 0x02, 0x01, 0x0A, 0x0B, 0x0C]);
+        w.put_u32(0x0A0B0C0D);
+        assert_eq!(
+            w.into_vec(),
+            vec![0x01, 0x02, 0x02, 0x01, 0x0A, 0x0B, 0x0C, 0x0D]
+        );
     }
 
     #[test]

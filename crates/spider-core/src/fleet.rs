@@ -57,6 +57,22 @@ pub fn station_addr(client: usize, iface: usize) -> MacAddr {
     MacAddr::local(IFACE_ADDR_BASE + client as u32 * CLIENT_ADDR_STRIDE + iface as u32)
 }
 
+/// The inverse of [`station_addr`]: the client that owns `addr` in a
+/// world of `clients` clients with `ifaces` interfaces each, or `None`
+/// for any other address (an AP's, the broadcast address, a station of
+/// no such client or interface).
+pub(crate) fn station_owner(addr: MacAddr, clients: usize, ifaces: usize) -> Option<usize> {
+    let [0x02, 0x00, id @ ..] = addr.octets() else {
+        return None;
+    };
+    let unit = u32::from_be_bytes(id).checked_sub(IFACE_ADDR_BASE)?;
+    let (client, iface) = (
+        (unit / CLIENT_ADDR_STRIDE) as usize,
+        (unit % CLIENT_ADDR_STRIDE) as usize,
+    );
+    (client < clients && iface < ifaces).then_some(client)
+}
+
 /// Per-client counters surfaced in `RunResult::per_client` (and from
 /// there in the run record's `per_client` object): enough to see how a
 /// fleet splits the medium without bloating the byte-identity surface.
@@ -111,6 +127,27 @@ mod tests {
         // Client 0 keeps the historical addressing.
         assert_eq!(station_addr(0, 0), MacAddr::local(1_000));
         assert_eq!(station_addr(0, 2), MacAddr::local(1_002));
+    }
+
+    #[test]
+    fn station_owner_inverts_station_addr() {
+        for client in 0..16 {
+            for iface in 0..8 {
+                let addr = station_addr(client, iface);
+                assert_eq!(station_owner(addr, 16, 8), Some(client));
+                // Outside the world's clients or interfaces: no owner.
+                assert_eq!(station_owner(addr, client, 8), None);
+                assert_eq!(station_owner(addr, 16, iface), None);
+            }
+        }
+        for other in [
+            MacAddr::BROADCAST,
+            MacAddr::ap(IFACE_ADDR_BASE),
+            MacAddr::local(IFACE_ADDR_BASE - 1),
+            MacAddr::local(0),
+        ] {
+            assert_eq!(station_owner(other, 16, 8), None, "{other}");
+        }
     }
 
     #[test]

@@ -4,10 +4,10 @@
 
 use mobility::geometry::Point;
 use sim_engine::time::{Duration, Instant};
-use wifi_mac::addr::MacAddr;
 use wifi_mac::channel::Channel;
 use wifi_mac::frame::{Frame, FrameBody};
 
+use crate::fleet::station_owner;
 use crate::packet::Packet;
 use crate::selection::Candidate;
 
@@ -24,8 +24,8 @@ pub(super) enum AirEvent {
         ap: usize,
         frame: Frame<Packet>,
     },
-    /// One broadcast transmission from AP `ap` reaches the antennas of
-    /// `audience`, in ascending client order.
+    /// One beacon from AP `ap` reaches the antennas of `audience`, in
+    /// ascending client order.
     Broadcast {
         audience: Vec<usize>,
         ap: usize,
@@ -149,16 +149,6 @@ impl World {
         budget
     }
 
-    /// The client owning a station address, via binary search over the
-    /// sorted station map.
-    fn station_owner(&self, addr: MacAddr) -> Option<usize> {
-        let i = self
-            .stations
-            .binary_search_by_key(&addr, |&(a, _)| a)
-            .ok()?;
-        Some(self.stations[i].1)
-    }
-
     /// Seize the channel medium for `airtime`; returns the arrival instant.
     fn seize_medium(&mut self, channel: Channel, now: Instant, airtime: Duration) -> Instant {
         let free = &mut self.medium[channel.index()];
@@ -213,10 +203,10 @@ impl World {
     }
 
     /// AP transmits `frame` after `extra_delay` (management processing
-    /// time). Unicast frames are routed to the station's owning client;
-    /// broadcast frames reach every client. Either way it is one
-    /// transmission on the air: one shared-medium seize and one queued
-    /// event. Whether a client *hears* it is decided at arrival.
+    /// time): one shared-medium seize and one queued event for the
+    /// station's owning client, who decides at arrival whether it *hears*
+    /// it. Every frame an AP action carries is unicast; the beacon, the
+    /// only broadcast, is built and sent by `beacon_tick`.
     pub(super) fn ap_send(
         &mut self,
         ap: usize,
@@ -227,38 +217,24 @@ impl World {
         let now = sched.now;
         let channel = self.aps[ap].site.channel;
         let is_data = matches!(frame.body, FrameBody::Data(_));
-        let target = if frame.addr1.is_broadcast() {
-            None
-        } else {
-            // Not one of our stations: nobody can receive it.
-            let Some(client) = self.station_owner(frame.addr1) else {
-                return;
-            };
-            Some(client)
+        // Not one of our stations: nobody can receive it.
+        let n_clients = self.clients.len();
+        let Some(client) = station_owner(frame.addr1, n_clients, self.cfg.spider.max_ifaces) else {
+            return;
         };
         if is_data && self.medium[channel.index()].saturating_since(now) > AIR_QUEUE_BOUND {
             self.air_drops += 1;
             return;
         }
         let airtime = if is_data {
-            // Data frames are always unicast; rate/retry adapt to the
-            // owning client's distance.
-            let client = target.unwrap_or(0);
+            // Rate/retry adapt to the owning client's distance.
             self.link_budget(client, self.distance_to(client, ap, now), &frame)
                 .0
         } else {
             self.cfg.phy.airtime(frame.wire_len())
         };
         let arrival = self.seize_medium(channel, now + extra_delay, airtime);
-        let event = match target {
-            Some(client) => AirEvent::ToClient { client, ap, frame },
-            None => AirEvent::Broadcast {
-                audience: (0..self.clients.len()).collect(),
-                ap,
-                frame,
-            },
-        };
-        sched.at(arrival, event);
+        sched.at(arrival, AirEvent::ToClient { client, ap, frame });
     }
 
     /// A frame arrived at a client's antenna: deliverable only if that

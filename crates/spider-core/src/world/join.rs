@@ -344,6 +344,10 @@ impl World {
         self.metrics.record_concurrency(now, connected);
     }
 
+    /// Release interface `iface` of `client` and its connection. The AP's
+    /// MAC and DHCP server are told nothing: no station sends a
+    /// disassociation or a RELEASE, and the AP keeps the station until
+    /// its idle expiry (DESIGN.md, "Teardown is decided once").
     pub(super) fn teardown_iface(&mut self, client: usize, iface: usize, sched: &mut Sched) {
         let slot = &mut self.clients[client].ifaces[iface];
         if let (Some(ap), Some(conn)) = (slot.ap, slot.conn) {

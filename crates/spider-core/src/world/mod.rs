@@ -63,7 +63,6 @@ use sim_engine::stats::Samples;
 use sim_engine::time::{Duration, Instant};
 use tcp_lite::connection::{ReceiverAction, SenderAction};
 use tcp_lite::TcpConfig;
-use wifi_mac::addr::MacAddr;
 use wifi_mac::ap::ApAction;
 use wifi_mac::channel::Channel;
 use wifi_mac::frame::Frame;
@@ -507,9 +506,6 @@ struct World {
     /// The fleet, indexed densely: client 0 is `cfg.motion`, clients
     /// 1.. are `cfg.fleet` in order.
     clients: Vec<ClientNode>,
-    /// Station address → owning client, sorted by address for binary
-    /// search: the downlink path resolves `addr1` to the owning client.
-    stations: Vec<(MacAddr, usize)>,
     /// Spatial grid over the deployment's AP positions (dense AP slots).
     /// Range queries (`count_in_disc`) replace linear scans over `aps`.
     grid: GridIndex,
@@ -659,19 +655,11 @@ impl World {
             let misc = master.fork(base + 2);
             clients.push(make_client(motion.clone(), k + 1, phy, radio, misc));
         }
-        let mut stations: Vec<(MacAddr, usize)> = clients
-            .iter()
-            .enumerate()
-            .flat_map(|(c, node)| node.ifaces.iter().map(move |iface| (iface.addr, c)))
-            .collect();
-        stations.sort_unstable_by_key(|&(addr, _)| addr);
-
         let world = World {
             cfg,
             aps,
             bssids,
             clients,
-            stations,
             grid,
             mover_cells,
             metrics: Metrics::new(),

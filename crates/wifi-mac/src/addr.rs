@@ -48,11 +48,6 @@ impl MacAddr {
         self == Self::BROADCAST
     }
 
-    /// True if the group (multicast) bit is set.
-    pub fn is_multicast(self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
     /// Raw bytes.
     pub const fn octets(self) -> [u8; 6] {
         self.0
@@ -117,9 +112,7 @@ mod tests {
     #[test]
     fn broadcast_properties() {
         assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
         assert!(!MacAddr::local(1).is_broadcast());
-        assert!(!MacAddr::local(1).is_multicast());
     }
 
     #[test]

@@ -253,26 +253,22 @@ impl<P: Payload> ApMac<P> {
         out: &mut Vec<ApAction<P>>,
     ) {
         let me = self.config.bssid;
-        // Probe requests are accepted broadcast or directed; everything else
-        // must address this AP.
+        // Every frame the AP answers must address it.
         let directed = frame.addr1 == me;
         let station = frame.addr2;
         if let Some(entry) = self.stations.get_mut(&station) {
             entry.last_seen = now;
         }
         match &frame.body {
-            FrameBody::ProbeReq { ssid } => {
-                let matches = ssid.is_wildcard() || *ssid == self.config.ssid;
-                if (directed || frame.addr1.is_broadcast()) && matches {
-                    let resp = Frame::probe_response(
-                        me,
-                        station,
-                        self.config.ssid.clone(),
-                        self.config.channel,
-                        now.as_micros(),
-                    );
-                    out.push(self.send_mgmt(resp, rng));
-                }
+            FrameBody::ProbeReq { ssid } if directed && *ssid == self.config.ssid => {
+                let resp = Frame::probe_response(
+                    me,
+                    station,
+                    self.config.ssid.clone(),
+                    self.config.channel,
+                    now.as_micros(),
+                );
+                out.push(self.send_mgmt(resp, rng));
             }
             FrameBody::Auth(auth) if directed && auth.transaction == 1 => {
                 // Open-system auth: always accept.
@@ -332,9 +328,6 @@ impl<P: Payload> ApMac<P> {
                     from: station,
                     payload: payload.clone(),
                 });
-            }
-            FrameBody::Disassoc { .. } | FrameBody::Deauth { .. } if directed => {
-                self.stations.remove(&station);
             }
             _ => {}
         }
@@ -502,7 +495,7 @@ mod tests {
     fn probe_gets_response_with_processing_delay() {
         let mut mac = ap();
         let mut r = rng();
-        let probe = Frame::probe_request(sta(1));
+        let probe = Frame::probe_request(sta(1), mac.bssid(), Ssid::new("open"));
         let acts = mac.on_frame(&probe, Instant::ZERO, &mut r);
         match &acts[0] {
             ApAction::Send { delay, frame } => {
@@ -519,10 +512,9 @@ mod tests {
     fn probe_for_other_ssid_ignored() {
         let mut mac = ap();
         let mut r = rng();
-        let mut probe = Frame::probe_request(sta(1));
-        probe.body = FrameBody::ProbeReq {
-            ssid: Ssid::new("someone-else"),
-        };
+        let probe = Frame::probe_request(sta(1), mac.bssid(), Ssid::new("someone-else"));
+        assert!(mac.on_frame(&probe, Instant::ZERO, &mut r).is_empty());
+        let probe = Frame::probe_request(sta(1), MacAddr::ap(2), Ssid::new("open"));
         assert!(mac.on_frame(&probe, Instant::ZERO, &mut r).is_empty());
     }
 
@@ -642,23 +634,6 @@ mod tests {
                 payload: Bytes::from_static(b"up")
             }]
         );
-    }
-
-    #[test]
-    fn disassociation_removes_station() {
-        let mut mac = ap();
-        let mut r = rng();
-        associate(&mut mac, sta(1), Instant::ZERO, &mut r);
-        let dis = Frame::new(
-            mac.bssid(),
-            sta(1),
-            mac.bssid(),
-            FrameBody::Disassoc {
-                reason: crate::frame::REASON_LEAVING,
-            },
-        );
-        mac.on_frame(&dis, Instant::ZERO, &mut r);
-        assert!(!mac.is_associated(sta(1)));
     }
 
     #[test]

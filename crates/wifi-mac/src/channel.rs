@@ -60,12 +60,6 @@ impl Channel {
         }
     }
 
-    /// True if two channels are far enough apart (≥ 5 channel numbers) that
-    /// their 22 MHz masks do not overlap.
-    pub fn is_orthogonal_to(self, other: Channel) -> bool {
-        self.0.abs_diff(other.0) >= 5
-    }
-
     /// Fractional spectral overlap with another channel in `[0, 1]`:
     /// 1 for the same channel, 0 for orthogonal channels, linear in between.
     /// Used by the PHY to model adjacent-channel interference.
@@ -114,7 +108,7 @@ mod tests {
     fn orthogonality_of_1_6_11() {
         for (i, a) in ORTHOGONAL.iter().enumerate() {
             for (j, b) in ORTHOGONAL.iter().enumerate() {
-                assert_eq!(a.is_orthogonal_to(*b), i != j);
+                assert_eq!(a.overlap(*b) == 0.0, i != j);
             }
         }
     }

@@ -196,7 +196,7 @@ impl ClientMac {
     /// Begin (or restart) the join at time `now`.
     ///
     /// # Panics
-    /// Panics if already associated; disassociate first.
+    /// Panics if already associated.
     pub fn start<P>(&mut self, now: Instant) -> Vec<Action<P>> {
         assert!(
             !self.is_associated(),
@@ -206,39 +206,12 @@ impl ClientMac {
         self.started_at = Some(now);
         if self.config.use_probe {
             self.state = State::Probing { attempt: 1 };
-            let mut probe = Frame::probe_request(self.station);
-            // Directed probe: ask this SSID specifically.
-            probe.addr1 = self.bssid;
-            probe.addr3 = self.bssid;
-            probe.body = FrameBody::ProbeReq {
-                ssid: self.ssid.clone(),
-            };
+            let probe = Frame::probe_request(self.station, self.bssid, self.ssid.clone());
             vec![self.send(probe), self.arm()]
         } else {
             self.state = State::Authenticating { attempt: 1 };
             let auth = Frame::auth_request(self.station, self.bssid);
             vec![self.send(auth), self.arm()]
-        }
-    }
-
-    /// Tear down the association (or abandon the join). Returns the
-    /// disassociation frame to transmit when previously associated.
-    pub fn disassociate<P>(&mut self) -> Vec<Action<P>> {
-        let was_associated = self.is_associated();
-        self.state = State::Idle;
-        self.started_at = None;
-        if was_associated {
-            let f = Frame::new(
-                self.bssid,
-                self.station,
-                self.bssid,
-                FrameBody::Disassoc {
-                    reason: crate::frame::REASON_LEAVING,
-                },
-            );
-            vec![self.send(f)]
-        } else {
-            Vec::new()
         }
     }
 
@@ -273,9 +246,8 @@ impl ClientMac {
                     vec![Action::Failed(JoinFailure::Refused(resp.status))]
                 }
             }
-            (State::Associated { .. }, FrameBody::Deauth { .. })
-            | (State::Associated { .. }, FrameBody::Disassoc { .. }) => {
-                // Kicked by the AP; drop to idle so the driver can rejoin.
+            (State::Associated { .. }, FrameBody::Deauth { .. }) => {
+                // Expired by the AP; drop to idle so the driver can rejoin.
                 self.state = State::Idle;
                 self.started_at = None;
                 vec![Action::Failed(JoinFailure::Refused(
@@ -298,12 +270,8 @@ impl ClientMac {
                     self.state = State::Probing {
                         attempt: attempt + 1,
                     };
-                    let mut probe = Frame::probe_request(self.station);
-                    probe.addr1 = self.bssid;
-                    probe.addr3 = self.bssid;
-                    probe.body = FrameBody::ProbeReq {
-                        ssid: self.ssid.clone(),
-                    };
+                    let mut probe =
+                        Frame::probe_request(self.station, self.bssid, self.ssid.clone());
                     probe.retry = true;
                     vec![self.send(probe), self.arm()]
                 }
@@ -518,18 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn disassociate_sends_notice_and_resets() {
-        let mut m = machine(JoinConfig::default());
-        complete_join(&mut m);
-        let acts: Vec<Action> = m.disassociate();
-        assert!(matches!(&acts[0], Action::Send(f) if f.body.kind() == "disassoc"));
-        assert!(!m.is_associated());
-        // Restartable.
-        let acts: Vec<Action> = m.start(Instant::from_secs(1));
-        assert!(!acts.is_empty());
-    }
-
-    #[test]
     fn deauth_from_ap_drops_association() {
         let mut m = machine(JoinConfig::default());
         complete_join(&mut m);
@@ -544,6 +500,8 @@ mod tests {
         let acts = m.handle_frame(&deauth);
         assert!(matches!(acts[0], Action::Failed(_)));
         assert!(!m.is_associated());
+        // Restartable.
+        assert!(!m.start::<Bytes>(Instant::from_secs(1)).is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! paper's join and data paths need:
 //!
 //! * management: beacon, probe request/response, open-system authentication,
-//!   association request/response, disassociation, deauthentication;
+//!   association request/response, deauthentication;
 //! * data: data frames and the null-data frame whose *power management* bit
 //!   is how Spider (and Virtual Wi-Fi/FatVAP/Juggler before it) asks an AP
 //!   to buffer traffic while the radio serves another channel.
@@ -40,7 +40,6 @@ mod subtype {
     pub const PROBE_REQ: u8 = 4;
     pub const PROBE_RESP: u8 = 5;
     pub const BEACON: u8 = 8;
-    pub const DISASSOC: u8 = 10;
     pub const AUTH: u8 = 11;
     pub const DEAUTH: u8 = 12;
     pub const DATA: u8 = 0;
@@ -72,8 +71,6 @@ pub const STATUS_FAILURE: u16 = 1;
 /// Status code: AP association table is full.
 pub const STATUS_AP_FULL: u16 = 17;
 
-/// Reason code: leaving BSS (disassociation/deauth).
-pub const REASON_LEAVING: u16 = 3;
 /// Reason code: inactivity timeout.
 pub const REASON_INACTIVITY: u16 = 4;
 
@@ -138,7 +135,8 @@ impl Ssid {
         Ok(Ssid(b.to_vec()))
     }
 
-    /// The wildcard (zero-length) SSID used in broadcast probe requests.
+    /// The wildcard (zero-length) SSID: what a probe request without an
+    /// SSID element decodes to.
     pub fn wildcard() -> Ssid {
         Ssid(Vec::new())
     }
@@ -255,7 +253,7 @@ pub enum FrameBody<P = Bytes> {
     Beacon(BeaconBody),
     /// Active-scan solicitation (body carries the sought SSID).
     ProbeReq {
-        /// Sought SSID; wildcard asks every AP in range to respond.
+        /// Sought SSID.
         ssid: Ssid,
     },
     /// Unicast reply to a probe request; same layout as a beacon.
@@ -266,11 +264,6 @@ pub enum FrameBody<P = Bytes> {
     AssocReq(AssocReqBody),
     /// Association response.
     AssocResp(AssocRespBody),
-    /// Disassociation notice with a reason code.
-    Disassoc {
-        /// Reason code; see [`REASON_LEAVING`].
-        reason: u16,
-    },
     /// Deauthentication notice with a reason code.
     Deauth {
         /// Reason code.
@@ -292,7 +285,6 @@ impl<P> FrameBody<P> {
             FrameBody::ProbeReq { .. } => (ftype::MGMT, subtype::PROBE_REQ),
             FrameBody::ProbeResp(_) => (ftype::MGMT, subtype::PROBE_RESP),
             FrameBody::Beacon(_) => (ftype::MGMT, subtype::BEACON),
-            FrameBody::Disassoc { .. } => (ftype::MGMT, subtype::DISASSOC),
             FrameBody::Auth(_) => (ftype::MGMT, subtype::AUTH),
             FrameBody::Deauth { .. } => (ftype::MGMT, subtype::DEAUTH),
             FrameBody::Data(_) => (ftype::DATA, subtype::DATA),
@@ -310,7 +302,6 @@ impl<P> FrameBody<P> {
             FrameBody::Auth(_) => "auth-resp",
             FrameBody::AssocReq(_) => "assoc-req",
             FrameBody::AssocResp(_) => "assoc-resp",
-            FrameBody::Disassoc { .. } => "disassoc",
             FrameBody::Deauth { .. } => "deauth",
             FrameBody::Data(_) => "data",
             FrameBody::Null => "null",
@@ -369,16 +360,9 @@ impl<P> Frame<P> {
         }
     }
 
-    /// A broadcast (wildcard) probe request from `station`.
-    pub fn probe_request(station: MacAddr) -> Frame<P> {
-        Frame::new(
-            MacAddr::BROADCAST,
-            station,
-            MacAddr::BROADCAST,
-            FrameBody::ProbeReq {
-                ssid: Ssid::wildcard(),
-            },
-        )
+    /// A directed probe request from `station` asking `bssid` for `ssid`.
+    pub fn probe_request(station: MacAddr, bssid: MacAddr, ssid: Ssid) -> Frame<P> {
+        Frame::new(bssid, station, bssid, FrameBody::ProbeReq { ssid })
     }
 
     /// A unicast probe response from `bssid` to `station`.
@@ -553,9 +537,7 @@ impl<P: Payload> Frame<P> {
                 buf.put_u16_le(a.status);
                 buf.put_u16_le(a.aid);
             }
-            FrameBody::Disassoc { reason } | FrameBody::Deauth { reason } => {
-                buf.put_u16_le(*reason);
-            }
+            FrameBody::Deauth { reason } => buf.put_u16_le(*reason),
             FrameBody::Data(payload) => payload.encode_into(buf),
             FrameBody::Null => {}
         }
@@ -576,7 +558,7 @@ impl<P: Payload> Frame<P> {
             FrameBody::Auth(_) => 6,
             FrameBody::AssocReq(a) => 2 + 2 + ssid_ie_len(&a.ssid),
             FrameBody::AssocResp(_) => 6,
-            FrameBody::Disassoc { .. } | FrameBody::Deauth { .. } => 2,
+            FrameBody::Deauth { .. } => 2,
             FrameBody::Data(payload) => payload.wire_len(),
             FrameBody::Null => 0,
         }
@@ -661,9 +643,6 @@ impl Frame {
                 status: buf.get_u16_le()?,
                 aid: buf.get_u16_le()?,
             }),
-            (ftype::MGMT, subtype::DISASSOC) => FrameBody::Disassoc {
-                reason: buf.get_u16_le()?,
-            },
             (ftype::MGMT, subtype::DEAUTH) => FrameBody::Deauth {
                 reason: buf.get_u16_le()?,
             },
@@ -790,7 +769,7 @@ mod tests {
 
     #[test]
     fn probe_pair_roundtrip() {
-        let req = Frame::probe_request(sta());
+        let req = Frame::probe_request(sta(), ap(), Ssid::new("x"));
         assert_eq!(roundtrip(&req), req);
         let resp = Frame::probe_response(ap(), sta(), Ssid::new("x"), Channel::CH1, 9);
         assert_eq!(roundtrip(&resp), resp);
@@ -839,19 +818,27 @@ mod tests {
 
     #[test]
     fn disassoc_deauth_roundtrip() {
-        let mut d = Frame::new(
-            ap(),
+        let d: Frame = Frame::new(
             sta(),
             ap(),
-            FrameBody::Disassoc {
-                reason: REASON_LEAVING,
+            ap(),
+            FrameBody::Deauth {
+                reason: REASON_INACTIVITY,
             },
         );
         assert_eq!(roundtrip(&d), d);
-        d.body = FrameBody::Deauth {
-            reason: REASON_INACTIVITY,
-        };
-        assert_eq!(roundtrip(&d), d);
+        // The same frame typed as a disassociation (subtype 10) does not
+        // round-trip: the AP's idle expiry is the only way a station leaves.
+        let mut bytes = d.encode().to_vec();
+        assert_eq!(bytes[0], 12 << 4);
+        bytes[0] = 10 << 4;
+        assert_eq!(
+            Frame::decode(&bytes),
+            Err(FrameError::Unsupported {
+                ftype: 0,
+                subtype: 10
+            })
+        );
     }
 
     #[test]
@@ -875,17 +862,18 @@ mod tests {
 
     #[test]
     fn unknown_subtype_is_unsupported() {
-        // Craft FC with mgmt type and subtype 6 (unused).
-        let fc: u16 = (6u16) << 4;
-        let mut bytes = fc.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&[0u8; 22]); // duration + addrs + seq
-        assert!(matches!(
-            Frame::decode(&bytes),
-            Err(FrameError::Unsupported {
-                ftype: 0,
-                subtype: 6
-            })
-        ));
+        // Management subtypes 6 (unused) and 10 (disassociation, which no
+        // station sends: the AP's idle expiry is the only way one leaves),
+        // each with a full header and a 2-byte body.
+        for subtype in [6u8, 10] {
+            let fc = u16::from(subtype) << 4;
+            let mut bytes = fc.to_le_bytes().to_vec();
+            bytes.resize(26, 0);
+            assert_eq!(
+                Frame::decode(&bytes),
+                Err(FrameError::Unsupported { ftype: 0, subtype })
+            );
+        }
         // Control frames are not modelled: a PS-Poll (subtype 10, 16 bytes
         // on the air), an ACK (subtype 13, 10 bytes) and a bare control FC
         // are each unsupported, not truncated and not a panic.
@@ -911,7 +899,7 @@ mod tests {
 
     #[test]
     fn wildcard_ssid_roundtrip() {
-        let req = Frame::probe_request(sta());
+        let req: Frame = Frame::probe_request(sta(), ap(), Ssid::wildcard());
         if let FrameBody::ProbeReq { ssid } = &roundtrip(&req).body {
             assert!(ssid.is_wildcard());
         } else {

@@ -986,7 +986,7 @@ fn gen_frame<P>(g: &mut Gen, data: impl FnOnce(&mut Gen) -> P) -> Frame<P> {
 
     let a = gen_mac(g);
     let b = gen_mac(g);
-    let body = match g.usize_in(0, 10) {
+    let body = match g.usize_in(0, 9) {
         0 => FrameBody::Beacon(BeaconBody::advertising(
             gen_ssid(g),
             gen_channel(g),
@@ -1013,13 +1013,10 @@ fn gen_frame<P>(g: &mut Gen, data: impl FnOnce(&mut Gen) -> P) -> Frame<P> {
             status: g.u32_in(0, 60) as u16,
             aid: g.u32_in(0, 2007) as u16,
         }),
-        6 => FrameBody::Disassoc {
+        6 => FrameBody::Deauth {
             reason: g.u32_in(0, 99) as u16,
         },
-        7 => FrameBody::Deauth {
-            reason: g.u32_in(0, 99) as u16,
-        },
-        8 => FrameBody::Data(data(g)),
+        7 => FrameBody::Data(data(g)),
         _ => FrameBody::Null,
     };
     let mut f = Frame::new(a, b, gen_mac(g), body);

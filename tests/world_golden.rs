@@ -37,6 +37,12 @@
 //! `("d1d65c4b23321a678cd5005f97ed31a7", 2221, 17)`; it is the one world
 //! here that tears an interface down with a timer queued and re-arms it
 //! before the old timer was due.
+//!
+//! `same_channel_slices_within_grace` was pinned before the world dropped
+//! disassociation, DHCP RELEASE, the AP's broadcast send path and its
+//! station table, none of which moved a pin. It is the one world here
+//! that queues a second switch to a channel the radio is already bound
+//! for.
 
 use spider_repro::campaign::hash::content_hash;
 use spider_repro::dhcp::DhcpClientConfig;
@@ -266,4 +272,24 @@ fn pass_by_mid_think() {
         think: Duration::from_secs(10),
     };
     pin(cfg, ("d1d65c4b23321a678cd5005f97ed31a7", 2208, 16));
+}
+
+/// A schedule whose first two slices are the same channel and the first
+/// is shorter than the PSM grace before a switch: entering channel 6
+/// from channel 1, each of the two slices queues a switch to channel 6,
+/// and the second finds the radio already retuned there. That switch
+/// must be skipped: running it would record a second, zero, switch
+/// latency and a second arrival on the channel.
+#[test]
+fn same_channel_slices_within_grace() {
+    let mut spider = SpiderConfig::multi_channel_multi_ap(Duration::from_millis(200));
+    spider.schedule = SchedulePolicy::MultiChannel {
+        slices: vec![
+            (Channel::CH6, Duration::from_millis(2)),
+            (Channel::CH6, Duration::from_millis(198)),
+            (Channel::CH1, Duration::from_millis(200)),
+        ],
+    };
+    let cfg = lab(&[Channel::CH1, Channel::CH6], spider, 30);
+    pin(cfg, ("8286a0eaa8bcffe7acef08537e0f727b", 37122, 147));
 }
