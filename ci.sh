@@ -52,33 +52,9 @@ cargo test -q --offline --release --manifest-path bench-e2e/Cargo.toml
 # The fig5 campaign's cache and process-exec checks (a second process in
 # another environment, a torn manifest tail, a corrupt record, a worker
 # crash) run under `cargo test` above: crates/experiments/tests/fleet_fault.rs.
-
-step "metro smoke test (channel-assignment twice, byte-identical + all hits)"
-smoke_dir=$(mktemp -d target/campaign-smoke.XXXXXX)
-trap 'rm -rf "$smoke_dir"' EXIT
-# The 1024-AP metro worlds behind the channel-assignment experiment must
-# hold the same determinism contract as fig5: two OS processes sharing a
-# cache directory produce byte-identical stdout, and the second is served
-# entirely from cache (the spatial grid is a query accelerator, not a
-# semantics change).
-./target/release/experiments channel-assignment --scale 1 \
-    --cache-dir "$smoke_dir/metro-cache" \
-    >"$smoke_dir/metro1.out" 2>"$smoke_dir/metro1.err"
-./target/release/experiments channel-assignment --scale 1 \
-    --cache-dir "$smoke_dir/metro-cache" \
-    >"$smoke_dir/metro2.out" 2>"$smoke_dir/metro2.err"
-if ! cmp -s "$smoke_dir/metro1.out" "$smoke_dir/metro2.out"; then
-    echo "error: cached second channel-assignment run is not byte-identical" >&2
-    diff "$smoke_dir/metro1.out" "$smoke_dir/metro2.out" >&2 || true
-    exit 1
-fi
-if ! grep -q 'campaign: [0-9]* shards — [0-9]* hits, 0 misses, 0 cancelled' \
-    "$smoke_dir/metro2.err"; then
-    echo "error: second channel-assignment run was not served 100% from cache:" >&2
-    cat "$smoke_dir/metro2.err" >&2
-    exit 1
-fi
-echo "ok: 1024-AP metro campaign byte-identical across processes, second pass all hits"
+# So does the metro campaign's (channel-assignment twice on one cache,
+# from two processes in different environments: byte-identical, second
+# pass all hits): crates/experiments/tests/metro_cache.rs.
 
 step "client-fleet smoke test (N=1 identity + 8-client world across exec modes)"
 # Two latches on the fleet subsystem. First: a world built with an
@@ -89,6 +65,8 @@ step "client-fleet smoke test (N=1 identity + 8-client world across exec modes)"
 # clients over the 1024-AP metro grid) must be byte-identical between
 # in-process threads and worker OS processes, each on a fresh cache —
 # this drives fleet WorldConfigs through the codec-v2 worker protocol.
+smoke_dir=$(mktemp -d target/campaign-smoke.XXXXXX)
+trap 'rm -rf "$smoke_dir"' EXIT
 ./target/release/experiments fleet-identity \
     >"$smoke_dir/ident1.out" 2>/dev/null
 ./target/release/experiments fleet-identity \

@@ -28,4 +28,4 @@ pub use deployment::{deploy_along, deploy_evenly, ApSite, ChannelMix, Deployment
 pub use encounter::{encounters, range_intervals, Encounter, EncounterStats};
 pub use geometry::Point;
 pub use metro::{metro_deployment, metro_route, MetroChannelPlan, MetroConfig};
-pub use route::{Route, SpeedProfile, Vehicle};
+pub use route::{Anchor, Route, SpeedProfile, Vehicle};

@@ -117,7 +117,11 @@ impl Route {
     /// open routes clamp at the final vertex.
     pub fn position_at_distance(&self, dist: f64) -> Point {
         let total = self.length();
-        let d = if self.looped {
+        let d = if dist > 0.0 && dist < total {
+            // Both branches below return `dist` itself here: the loop's
+            // `rem_euclid` and the open route's clamp.
+            dist
+        } else if self.looped {
             dist.rem_euclid(total)
         } else if dist >= total {
             return self.vertex(self.points.len() - 1);
@@ -224,6 +228,15 @@ impl SpeedProfile {
         }
     }
 
+    /// The top speed, m/s: the constant speed, or the cruise speed of a
+    /// stop-and-go profile.
+    pub fn max_speed(&self) -> f64 {
+        match *self {
+            SpeedProfile::Constant(v) => v,
+            SpeedProfile::StopAndGo { cruise, .. } => cruise,
+        }
+    }
+
     /// Long-run average speed, m/s.
     pub fn mean_speed(&self) -> f64 {
         match *self {
@@ -303,6 +316,11 @@ impl Vehicle {
         self.profile.mean_speed()
     }
 
+    /// The top speed, m/s (see [`SpeedProfile::max_speed`]).
+    pub fn max_speed(&self) -> f64 {
+        self.profile.max_speed()
+    }
+
     /// Distance driven by `now`, m.
     pub fn distance_at(&self, now: Instant) -> f64 {
         self.profile
@@ -327,6 +345,56 @@ impl Vehicle {
             route: self.route.clone(),
             profile: self.profile.clone(),
             departed: self.departed + by,
+        }
+    }
+}
+
+/// Rounding slack of [`Anchor::within`], m: far above the error of the
+/// few float operations between two positions, far below any hearing
+/// radius.
+const ANCHOR_MARGIN_M: f64 = 1.0;
+
+/// Where a mover was at one instant and the fastest it can move: enough
+/// to decide most "within `radius` of a point at a later instant"
+/// questions without computing the later position.
+///
+/// The bound holds for a [`Vehicle`]: its route is piecewise-linear and
+/// continuous, including where a loop wraps back to its first vertex and
+/// where an open route clamps at its ends, and its distance along the
+/// route never grows faster than [`Vehicle::max_speed`] (a stop-and-go
+/// profile cruises or stands still). So its displacement over `Δt` is at
+/// most the arc driven, at most `max_speed · Δt`. A fixed point has top
+/// speed 0.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Anchor {
+    /// The instant the position was taken.
+    pub at: Instant,
+    /// The position at `at`.
+    pub pos: Point,
+    /// An upper bound on the mover's speed from `at` on, m/s.
+    pub max_speed: f64,
+}
+
+impl Anchor {
+    /// Whether the mover is within `radius` of `target` at `now`, if the
+    /// bound decides it: `Some(true)` when even the farthest it can have
+    /// moved keeps it inside, `Some(false)` when even the closest it can
+    /// have come leaves it outside, and `None` in the band between, where
+    /// only its exact position can tell. `now` may fall on either side of
+    /// `at`.
+    pub fn within(&self, now: Instant, target: Point, radius: f64) -> Option<bool> {
+        let d0 = self.pos.distance(target);
+        let elapsed = now
+            .saturating_since(self.at)
+            .max(self.at.saturating_since(now))
+            .as_secs_f64();
+        let slack = self.max_speed * elapsed + ANCHOR_MARGIN_M;
+        if d0 + slack <= radius {
+            Some(true)
+        } else if d0 - slack > radius {
+            Some(false)
+        } else {
+            None
         }
     }
 }
@@ -448,8 +516,10 @@ mod tests {
             v.position_at(Instant::from_secs(25)),
             Point::new(150.0, 0.0)
         );
-        // Mean speed halves (10 s driving + 10 s stopped per 100 m).
+        // Mean speed halves (10 s driving + 10 s stopped per 100 m); the
+        // top speed is the cruise.
         assert!((v.speed() - 5.0).abs() < 1e-9);
+        assert_eq!(v.max_speed(), 10.0);
     }
 
     #[test]

@@ -1,16 +1,24 @@
 //! The air: the per-channel medium every client and AP shares, the link
 //! budget, frame delivery in both directions, AP beacons, and Spider's
 //! per-channel transmit queues.
+//!
+//! A beacon is never built as a frame. It is a medium seize, one
+//! sequence number of its AP, and one reception per listener
+//! (`hear_beacon`): the only effect of a heard beacon is a scan-table
+//! entry, so nothing else of the frame is needed.
 
 use mobility::geometry::Point;
 use sim_engine::time::{Duration, Instant};
 use wifi_mac::channel::Channel;
 use wifi_mac::frame::{Frame, FrameBody};
+use wifi_mac::phy::{LinkQuality, PhyConfig};
 
 use crate::fleet::station_owner;
+use crate::intern::MacIntern;
 use crate::packet::Packet;
 use crate::selection::Candidate;
 
+use super::ap::ApNode;
 use super::{Sched, World, HEARING_RADIUS_M};
 
 /// Events of the air layer.
@@ -26,13 +34,40 @@ pub(super) enum AirEvent {
     },
     /// One beacon from AP `ap` reaches the antennas of `audience`, in
     /// ascending client order.
-    Broadcast {
-        audience: Vec<usize>,
-        ap: usize,
-        frame: Frame<Packet>,
-    },
+    Broadcast { audience: Vec<usize>, ap: usize },
     /// A frame from a client reaches AP `ap`.
     ToAp { ap: usize, frame: Frame<Packet> },
+}
+
+/// What the air needs of an AP: where it is, its channel, and its
+/// beacon's period, airtime, length and scan slot, fixed when the world
+/// is built. Kept apart from the rest of [`ApNode`] so that the beacon
+/// ticks of a 1024-AP world read one compact array.
+pub(super) struct AirSite {
+    position: Point,
+    channel: Channel,
+    beacon_interval: Duration,
+    beacon_len: usize,
+    /// The airtime of `beacon_len` bytes.
+    beacon_airtime: Duration,
+    /// The AP's slot in each client's scan table: its BSSID's interned
+    /// slot. A duplicated BSSID interns to one slot, the highest index of
+    /// the APs that share it, so this need not be the AP's own index.
+    scan_slot: Option<usize>,
+}
+
+impl AirSite {
+    pub(super) fn new(node: &ApNode, phy: &PhyConfig, bssids: &MacIntern) -> AirSite {
+        let beacon_len = node.mac.beacon_len();
+        AirSite {
+            position: node.site.position,
+            channel: node.site.channel,
+            beacon_interval: node.mac.config().beacon_interval,
+            beacon_len,
+            beacon_airtime: phy.airtime(beacon_len),
+            scan_slot: bssids.get(node.mac.bssid()),
+        }
+    }
 }
 
 /// Frames older than this are dropped from a per-channel TX queue
@@ -57,21 +92,12 @@ impl World {
             AirEvent::ToClient { client, ap, frame } => {
                 self.on_air_to_client(client, ap, &frame, sched)
             }
-            AirEvent::Broadcast {
-                audience,
-                ap,
-                frame,
-            } => {
-                // The only broadcast an AP sends is a beacon, and the
-                // order of its audience cannot matter: a receiver's beacon
-                // touches only that receiver's own state (its radio,
-                // position and link-budget caches, PHY RNG stream, scan
-                // table and heard set). Its join FSM answers a beacon with
-                // no action, so nothing is queued and no sequence number
-                // is drawn.
-                for client in audience {
-                    self.on_air_to_client(client, ap, &frame, sched);
+            AirEvent::Broadcast { mut audience, ap } => {
+                for &client in &audience {
+                    self.hear_beacon(client, ap, now);
                 }
+                audience.clear();
+                self.audience_spare.push(audience);
             }
             AirEvent::ToAp { ap, frame } => self.with_ap_actions(ap, sched, |mac, rng, out| {
                 mac.on_frame_into(&frame, now, rng, out)
@@ -93,26 +119,37 @@ impl World {
 
     fn distance_to(&self, client: usize, ap: usize, now: Instant) -> f64 {
         self.client_pos(client, now)
-            .distance(self.aps[ap].site.position)
+            .distance(self.air_sites[ap].position)
     }
 
-    /// Whether `client` is within `HEARING_RADIUS_M` of AP `ap`.
+    /// Whether `client` is within `HEARING_RADIUS_M` of AP `ap`. The
+    /// client's anchor decides it from the last upkeep's position and the
+    /// client's top speed (see [`mobility::route::Anchor`]); only an AP
+    /// in the band the bound leaves open costs the exact position.
     fn in_earshot(&self, client: usize, ap: usize, now: Instant) -> bool {
-        self.distance_to(client, ap, now) <= HEARING_RADIUS_M
+        let site = self.air_sites[ap].position;
+        match self.clients[client]
+            .anchor
+            .within(now, site, HEARING_RADIUS_M)
+        {
+            Some(inside) => inside,
+            None => self.distance_to(client, ap, now) <= HEARING_RADIUS_M,
+        }
     }
 
-    /// RSSI at `dist`, memoized on the exact input bits.
-    fn rssi_at(&self, client: usize, dist: f64) -> f64 {
-        if let Some((d, rssi)) = self.clients[client].rssi_cache.get() {
+    /// The link quality at `dist`, memoized on the exact input bits: the
+    /// frames and beacons a client exchanges at one instant share one
+    /// distance, and so one evaluation of the PHY's `log10` and `exp`.
+    fn link_quality(&self, client: usize, dist: f64) -> LinkQuality {
+        let memo = &self.clients[client].link_memo;
+        if let Some((d, link)) = memo.get() {
             if d == dist.to_bits() {
-                return rssi;
+                return link;
             }
         }
-        let rssi = self.cfg.phy.link_at(dist).rssi_dbm;
-        self.clients[client]
-            .rssi_cache
-            .set(Some((dist.to_bits(), rssi)));
-        rssi
+        let link = self.cfg.phy.link_at(dist);
+        memo.set(Some((dist.to_bits(), link)));
+        link
     }
 
     /// The link budget of `frame` between `client` and an AP `dist`
@@ -136,7 +173,7 @@ impl World {
             _ => {}
         }
         let phy = &self.cfg.phy;
-        let e = phy.frame_error_prob(dist, len);
+        let e = phy.frame_error_from_per(self.link_quality(client, dist).per, len);
         let budget = if is_data {
             (
                 phy.expected_data_airtime_from_error(e, len),
@@ -149,12 +186,16 @@ impl World {
         budget
     }
 
+    /// The arrival instant of a frame of `airtime` that seizes `channel`'s
+    /// medium at `now`: it starts when the medium is free.
+    fn medium_arrival(&self, channel: Channel, now: Instant, airtime: Duration) -> Instant {
+        now.max(self.medium[channel.index()]) + airtime
+    }
+
     /// Seize the channel medium for `airtime`; returns the arrival instant.
     fn seize_medium(&mut self, channel: Channel, now: Instant, airtime: Duration) -> Instant {
-        let free = &mut self.medium[channel.index()];
-        let start = now.max(*free);
-        let arrival = start + airtime;
-        *free = arrival;
+        let arrival = self.medium_arrival(channel, now, airtime);
+        self.medium[channel.index()] = arrival;
         arrival
     }
 
@@ -171,7 +212,7 @@ impl World {
         sched: &mut Sched,
     ) {
         let now = sched.now;
-        let channel = self.aps[ap].site.channel;
+        let channel = self.air_sites[ap].channel;
         if !self.clients[client].radio.can_hear(channel, now) {
             let q = &mut self.clients[client].tx_queues[channel.index()];
             if q.len() < TX_QUEUE_CAP {
@@ -206,7 +247,9 @@ impl World {
     /// time): one shared-medium seize and one queued event for the
     /// station's owning client, who decides at arrival whether it *hears*
     /// it. Every frame an AP action carries is unicast; the beacon, the
-    /// only broadcast, is built and sent by `beacon_tick`.
+    /// only broadcast, is sent by `beacon_tick`. The arrival rides its
+    /// channel's medium lane: `seize_medium` returns strictly increasing
+    /// instants per channel.
     pub(super) fn ap_send(
         &mut self,
         ap: usize,
@@ -215,7 +258,7 @@ impl World {
         sched: &mut Sched,
     ) {
         let now = sched.now;
-        let channel = self.aps[ap].site.channel;
+        let channel = self.air_sites[ap].channel;
         let is_data = matches!(frame.body, FrameBody::Data(_));
         // Not one of our stations: nobody can receive it.
         let n_clients = self.clients.len();
@@ -234,7 +277,9 @@ impl World {
             self.cfg.phy.airtime(frame.wire_len())
         };
         let arrival = self.seize_medium(channel, now + extra_delay, airtime);
-        sched.at(arrival, AirEvent::ToClient { client, ap, frame });
+        let event = AirEvent::ToClient { client, ap, frame };
+        let lane = self.medium_lanes[channel.index()];
+        sched.queue.push_on(lane, arrival, event.into());
     }
 
     /// A frame arrived at a client's antenna: deliverable only if that
@@ -247,7 +292,7 @@ impl World {
         sched: &mut Sched,
     ) {
         let now = sched.now;
-        let channel = self.aps[ap].site.channel;
+        let channel = self.air_sites[ap].channel;
         if !self.clients[client].radio.can_hear(channel, now) {
             // The station left the channel while this frame was in flight.
             // For a PSM station the AP's MAC-retry failure routes a data
@@ -264,60 +309,92 @@ impl World {
         if !self.clients[client].rng_phy.chance(delivery) {
             return;
         }
-        // Opportunistic scanning: every beacon/probe-response refreshes the
-        // candidate table. `addr2` is always an interned AP bssid here; the
-        // lookup maps it to its dense slot.
-        if let FrameBody::Beacon(b) | FrameBody::ProbeResp(b) = &frame.body {
-            if let Some(slot) = self.bssids.get(frame.addr2) {
-                let rssi = self.rssi_at(client, dist);
-                let node = &mut self.clients[client];
-                node.scan[slot] = Some(Candidate {
-                    bssid: frame.addr2,
-                    channel: b.channel,
-                    rssi_dbm: rssi,
-                    last_heard: now,
-                });
-                node.heard.insert(slot);
-            }
+        // Opportunistic scanning: a probe response refreshes the
+        // candidate table as a beacon does (see `hear_beacon`).
+        if let FrameBody::ProbeResp(_) = &frame.body {
+            let rssi = self.link_quality(client, dist).rssi_dbm;
+            self.record_scan(client, ap, rssi, now);
         }
         self.iface_receive(client, ap, frame, sched);
     }
 
+    /// A beacon from AP `ap` reaches `client`'s antenna at `now`: heard
+    /// only if the radio is tuned to the AP's channel and the PHY draw
+    /// succeeds, and then it refreshes the client's scan entry for the
+    /// AP. The client's join FSM answers a beacon with no action, so that
+    /// is all it does.
+    ///
+    /// The order of a beacon's audience cannot matter: a reception
+    /// touches only its listener's own state (its radio, position and
+    /// link memos, PHY RNG stream, scan table and heard set), and it
+    /// queues nothing, so no sequence number is drawn.
+    fn hear_beacon(&mut self, client: usize, ap: usize, now: Instant) {
+        let site = &self.air_sites[ap];
+        if !self.clients[client].radio.can_hear(site.channel, now) {
+            return;
+        }
+        let dist = self.distance_to(client, ap, now);
+        let link = self.link_quality(client, dist);
+        let e = self.cfg.phy.frame_error_from_per(link.per, site.beacon_len);
+        if self.clients[client].rng_phy.chance(1.0 - e) {
+            self.record_scan(client, ap, link.rssi_dbm, now);
+        }
+    }
+
+    /// Record that `client` heard AP `ap` at `rssi_dbm` just now.
+    fn record_scan(&mut self, client: usize, ap: usize, rssi_dbm: f64, now: Instant) {
+        let site = &self.air_sites[ap];
+        let Some(slot) = site.scan_slot else {
+            return;
+        };
+        let client = &mut self.clients[client];
+        client.scan[slot] = Some(Candidate {
+            bssid: self.aps[ap].mac.bssid(),
+            channel: site.channel,
+            rssi_dbm,
+            last_heard: now,
+        });
+        client.heard.insert(slot);
+    }
+
     fn beacon_tick(&mut self, ap: usize, sched: &mut Sched) {
         let now = sched.now;
-        let interval = self.aps[ap].mac.config().beacon_interval;
+        let site = &self.air_sites[ap];
+        let (channel, interval) = (site.channel, site.beacon_interval);
         // Every client within earshot hears one transmission: one medium
         // seize, one airtime charge, one queued event for the audience.
-        if !(0..self.clients.len()).any(|c| self.in_earshot(c, ap, now)) {
+        // The beacon is on the air whoever listens; only a listener that
+        // may hear it at arrival needs the event. Leaving the others out
+        // changes nothing: `Radio::may_hear` false means the radio cannot
+        // hear the channel at arrival whatever switches happen before
+        // then, and `hear_beacon` returns for a deaf listener before any
+        // RNG draw or state change.
+        let arrival = self.medium_arrival(channel, now, site.beacon_airtime);
+        let mut audience = self.audience_spare.pop().unwrap_or_default();
+        let mut in_earshot = false;
+        for c in 0..self.clients.len() {
+            if self.in_earshot(c, ap, now) {
+                in_earshot = true;
+                if self.clients[c].radio.may_hear(channel, now, arrival) {
+                    audience.push(c);
+                }
+            }
+        }
+        if !in_earshot {
             // Out of everyone's earshot: check back lazily instead of
             // spamming events.
+            self.audience_spare.push(audience);
             sched.after(BEACON_REPOLL, AirEvent::BeaconTick { ap });
             return;
         }
-        let channel = self.aps[ap].site.channel;
-        let airtime = self.cfg.phy.airtime(self.aps[ap].mac.beacon_len());
-        let arrival = self.seize_medium(channel, now, airtime);
-        // The beacon is on the air either way; only a listener that may
-        // hear it at arrival needs the event. Dropping the others changes
-        // nothing: `Radio::may_hear` false means the radio cannot hear the
-        // channel at arrival whatever switches happen before then, and a
-        // deaf receiver of a non-Data frame returns from
-        // `on_air_to_client` before any RNG draw or state change. An empty
-        // audience allocates nothing.
-        let audience: Vec<usize> = (0..self.clients.len())
-            .filter(|&c| self.clients[c].radio.may_hear(channel, now, arrival))
-            .filter(|&c| self.in_earshot(c, ap, now))
-            .collect();
+        self.medium[channel.index()] = arrival;
+        self.aps[ap].mac.send_beacon();
         if audience.is_empty() {
-            self.aps[ap].mac.skip_beacon();
+            self.audience_spare.push(audience);
         } else {
-            let frame = self.aps[ap].mac.beacon(now);
-            let event = AirEvent::Broadcast {
-                audience,
-                ap,
-                frame,
-            };
-            sched.at(arrival, event);
+            let event = AirEvent::Broadcast { audience, ap };
+            let lane = self.medium_lanes[channel.index()];
+            sched.queue.push_on(lane, arrival, event.into());
         }
         sched.after(interval, AirEvent::BeaconTick { ap });
     }

@@ -55,8 +55,8 @@ use std::cell::Cell;
 use geo::{GridIndex, MoverIndex, RankedSet};
 use mobility::deployment::ApSite;
 use mobility::geometry::Point;
-use mobility::route::Vehicle;
-use sim_engine::queue::{EventId, EventQueue};
+use mobility::route::{Anchor, Vehicle};
+use sim_engine::queue::{EventId, EventQueue, LaneId};
 use sim_engine::rng::Rng;
 use sim_engine::runner::{run_until, Handler};
 use sim_engine::stats::Samples;
@@ -66,7 +66,7 @@ use tcp_lite::TcpConfig;
 use wifi_mac::ap::ApAction;
 use wifi_mac::channel::Channel;
 use wifi_mac::frame::Frame;
-use wifi_mac::phy::PhyConfig;
+use wifi_mac::phy::{LinkQuality, PhyConfig};
 use wifi_mac::radio::{Radio, RadioConfig};
 use workload::downloads::DownloadPlan;
 
@@ -78,7 +78,7 @@ use crate::metrics::Metrics;
 use crate::packet::Packet;
 use crate::selection::Candidate;
 
-use air::{AirEvent, BEACON_REPOLL};
+use air::{AirEvent, AirSite, BEACON_REPOLL};
 use ap::{ApEvent, ApNode};
 use channel::ChannelEvent;
 use join::{Iface, JoinEvent};
@@ -102,6 +102,14 @@ impl ClientMotion {
         match self {
             ClientMotion::Fixed(p) => *p,
             ClientMotion::Route(v) => v.position_at(now),
+        }
+    }
+
+    /// The top speed, m/s; 0 for a fixed client.
+    fn max_speed(&self) -> f64 {
+        match self {
+            ClientMotion::Fixed(_) => 0.0,
+            ClientMotion::Route(v) => v.max_speed(),
         }
     }
 }
@@ -461,6 +469,10 @@ struct ClientNode {
     /// Spare queue buffer swapped against `tx_queues` on channel switch so
     /// steady-state flushes never allocate.
     tx_spare: Vec<(Instant, usize, Frame<Packet>)>,
+    /// Where the client was at the last 1 Hz upkeep (at t = 0 before the
+    /// first) and its top speed: decides most earshot questions without
+    /// the client's exact position (see `World::in_earshot`).
+    anchor: Anchor,
     /// Exact-key caches for the pure per-frame math. Keys are the full
     /// bit patterns of the inputs, so a hit returns the *same* values the
     /// recomputation would — determinism-safe by construction. They earn
@@ -470,10 +482,13 @@ struct ClientNode {
     /// distance all run long. The link-budget cache keeps the two most
     /// recent keys, most recent first: a stationary client alternates
     /// data and ACK lengths at one distance, which a one-entry cache
-    /// misses each time the length alternates.
+    /// misses each time the length alternates. The link memo keeps the
+    /// PHY's link quality at the last distance, which every frame length
+    /// sent over it and a beacon's RSSI derive from: the ACK a client
+    /// sends at the instant its data frame arrives reuses it.
     pos_cache: Cell<Option<(Instant, Point)>>,
     budget_cache: Cell<[Option<BudgetEntry>; 2]>,
-    rssi_cache: Cell<Option<(u64, f64)>>,
+    link_memo: Cell<Option<(u64, LinkQuality)>>,
     /// Private RNG streams, forked from the master with client-stable
     /// stream ids (see [`crate::fleet`]): PHY delivery draws, radio
     /// switch jitter, and misc draws (DHCP xids, TCP ISNs, object sizes).
@@ -500,6 +515,8 @@ struct ClientNode {
 struct World {
     cfg: WorldConfig,
     aps: Vec<ApNode>,
+    /// What the air needs of each AP, indexed like `aps`.
+    air_sites: Vec<AirSite>,
     /// BSSID → AP index, interned at build time; also drives every
     /// MacAddr-ordered iteration over per-AP state (see [`MacIntern`]).
     bssids: MacIntern,
@@ -522,6 +539,15 @@ struct World {
     /// seized. Shared by every client and AP: this is where fleet contention
     /// becomes endogenous.
     medium: [Instant; Channel::COUNT],
+    /// The queue lane of each channel's medium arrivals, indexed by
+    /// [`Channel::index`]: a medium seize returns strictly increasing
+    /// arrivals per channel, so AP frames and beacons join the lane's
+    /// tail (see `sim_engine::queue`). A client's uplink frame is not
+    /// seized in turn (its contention wait is capped) and goes to the
+    /// heap.
+    medium_lanes: [LaneId; Channel::COUNT],
+    /// Emptied beacon audiences, reused by the next beacon that has one.
+    audience_spare: Vec<Vec<usize>>,
     /// Reusable per-event action buffers: the hot handlers `mem::take`
     /// one, let the protocol layer push into it, drain it, and put it
     /// back — steady state does zero action-Vec allocations per event.
@@ -557,6 +583,11 @@ impl World {
             .map(|site| ApNode::new(site, cfg.backhaul_latency, &mut queue))
             .collect();
         let bssids = MacIntern::build(aps.iter().map(|a| a.mac.bssid()));
+        let air_sites = aps
+            .iter()
+            .map(|node| AirSite::new(node, &cfg.phy, &bssids))
+            .collect();
+        let medium_lanes = std::array::from_fn(|_| queue.add_named_lane());
 
         let initial_channel = match &cfg.spider.schedule {
             SchedulePolicy::SingleChannel(c) => *c,
@@ -613,7 +644,6 @@ impl World {
 
         let make_client =
             |motion: ClientMotion, c: usize, phy: Rng, radio: Rng, misc: Rng| ClientNode {
-                motion,
                 radio: Radio::new(cfg.radio.clone(), initial_channel),
                 ifaces: (0..cfg.spider.max_ifaces)
                     .map(|i| Iface::new(station_addr(c, i)))
@@ -623,9 +653,15 @@ impl World {
                 history: ApHistory::new(),
                 tx_queues: std::array::from_fn(|_| Vec::new()),
                 tx_spare: Vec::new(),
+                anchor: Anchor {
+                    at: Instant::ZERO,
+                    pos: motion.position(Instant::ZERO),
+                    max_speed: motion.max_speed(),
+                },
+                motion,
                 pos_cache: Cell::new(None),
                 budget_cache: Cell::new([None; 2]),
-                rssi_cache: Cell::new(None),
+                link_memo: Cell::new(None),
                 rng_phy: phy,
                 rng_radio: radio,
                 rng_misc: misc,
@@ -658,12 +694,15 @@ impl World {
         let world = World {
             cfg,
             aps,
+            air_sites,
             bssids,
             clients,
             grid,
             mover_cells,
             metrics: Metrics::new(),
             medium: [Instant::ZERO; Channel::COUNT],
+            medium_lanes,
+            audience_spare: Vec::new(),
             ap_actions_scratch: Vec::new(),
             sender_actions_scratch: Vec::new(),
             receiver_actions_scratch: Vec::new(),

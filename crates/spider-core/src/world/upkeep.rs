@@ -17,15 +17,17 @@ pub(super) const MAINTENANCE_PERIOD: Duration = Duration::from_secs(1);
 impl World {
     pub(super) fn maintenance(&mut self, sched: &mut Sched) {
         let now = sched.now;
-        // Spatial upkeep: move every client's cell membership and sample
-        // how many APs each hearing disc covers — grid range queries, not
-        // scans over `aps`. The mover index then feeds back as cell
-        // occupancy: how many fleet members (self included) share each
-        // client's cell, which scales the uplink contention bound in
-        // `client_send`. Occupancy is 1 whenever a client is alone in its
-        // cell.
+        // Spatial upkeep: re-anchor every client's earshot bound at its
+        // position now, move its cell membership and sample how many APs
+        // each hearing disc covers — grid range queries, not scans over
+        // `aps`. The mover index then feeds back as cell occupancy: how
+        // many fleet members (self included) share each client's cell,
+        // which scales the uplink contention bound in `client_send`.
+        // Occupancy is 1 whenever a client is alone in its cell.
         for c in 0..self.clients.len() {
             let pos = self.client_pos(c, now);
+            self.clients[c].anchor.at = now;
+            self.clients[c].anchor.pos = pos;
             if self.mover_cells.update(c, pos) {
                 self.clients[c].counters.cell_crossings += 1;
             }

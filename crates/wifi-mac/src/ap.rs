@@ -20,7 +20,7 @@ use sim_engine::wire::Bytes;
 use crate::addr::MacAddr;
 use crate::channel::Channel;
 use crate::frame::{
-    BeaconBody, Frame, FrameBody, Payload, Ssid, REASON_INACTIVITY, STATUS_AP_FULL, STATUS_SUCCESS,
+    Frame, FrameBody, Payload, Ssid, REASON_INACTIVITY, STATUS_AP_FULL, STATUS_SUCCESS,
 };
 
 /// AP parameters.
@@ -212,21 +212,11 @@ impl<P: Payload> ApMac<P> {
         }
     }
 
-    /// The periodic beacon; callers schedule this every
-    /// `config.beacon_interval`.
-    pub fn beacon(&mut self, now: Instant) -> Frame<P> {
-        let config = &self.config;
-        let body = BeaconBody::advertising(config.ssid.clone(), config.channel, now.as_micros());
-        let bssid = config.bssid;
-        let mut f = Frame::new(MacAddr::BROADCAST, bssid, bssid, FrameBody::Beacon(body));
-        f.seq = self.next_seq();
-        f
-    }
-
-    /// A beacon that goes on the air but that no station can receive:
-    /// consume its sequence number, as [`ApMac::beacon`] would, without
-    /// building the frame.
-    pub fn skip_beacon(&mut self) {
+    /// Put one beacon on the air: consume its sequence number. A beacon
+    /// is never built as a frame; its listeners need only the AP's
+    /// identity and channel, and its airtime only [`ApMac::beacon_len`].
+    /// Callers send one every `config.beacon_interval`.
+    pub fn send_beacon(&mut self) {
         self.next_seq();
     }
 
@@ -664,28 +654,19 @@ mod tests {
     }
 
     #[test]
-    fn beacon_carries_identity() {
+    fn sent_beacon_takes_a_sequence_number_and_its_length_is_known() {
         let mut mac = ap();
-        let f = mac.beacon(Instant::from_millis(500));
-        match &f.body {
-            FrameBody::Beacon(b) => {
-                assert_eq!(b.channel, Channel::CH6);
-                assert_eq!(b.ssid, Ssid::new("open"));
-                assert_eq!(b.timestamp_us, 500_000);
-            }
+        let mut r = rng();
+        let probe = Frame::probe_request(sta(1), mac.bssid(), Ssid::new("open"));
+        let resp_seq = |acts: Vec<ApAction>| match &acts[0] {
+            ApAction::Send { frame, .. } => frame.seq,
             other => panic!("{other:?}"),
-        }
-        assert!(f.addr1.is_broadcast());
-    }
-
-    #[test]
-    fn skipped_beacon_takes_a_sequence_number_and_its_length_is_known() {
-        let (mut skipping, mut building) = (ap(), ap());
-        skipping.skip_beacon();
-        let built = building.beacon(Instant::from_millis(1));
-        assert_eq!(skipping.beacon_len(), built.wire_len());
-        let next = skipping.beacon(Instant::from_millis(2));
-        assert_eq!(next.seq, building.beacon(Instant::from_millis(2)).seq);
-        assert_eq!(next.seq, built.seq + 1);
+        };
+        let first = resp_seq(mac.on_frame(&probe, Instant::ZERO, &mut r));
+        mac.send_beacon();
+        let after = resp_seq(mac.on_frame(&probe, Instant::ZERO, &mut r));
+        assert_eq!(after, first + 2, "a beacon shares the AP's sequence space");
+        let built = Frame::beacon(mac.bssid(), Ssid::new("open"), Channel::CH6, 0);
+        assert_eq!(mac.beacon_len(), built.wire_len());
     }
 }

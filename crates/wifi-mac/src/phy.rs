@@ -104,7 +104,14 @@ impl PhyConfig {
     /// `distance_m`: the reference PER rescaled through the equivalent
     /// bit-error process, `1 − (1 − per)^(len/ref_len)`.
     pub fn frame_error_prob(&self, distance_m: f64, len: usize) -> f64 {
-        let per = self.link_at(distance_m).per;
+        self.frame_error_from_per(self.link_at(distance_m).per, len)
+    }
+
+    /// [`Self::frame_error_prob`] from the reference PER of an
+    /// already-computed [`LinkQuality`]: a caller that keeps the link
+    /// quality at one distance pays `link_at`'s `log10` and `exp` once
+    /// for every frame length sent over it.
+    pub fn frame_error_from_per(&self, per: f64, len: usize) -> f64 {
         let exponent = len as f64 / self.reference_frame_len as f64;
         1.0 - (1.0 - per).powf(exponent)
     }

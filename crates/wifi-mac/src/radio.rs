@@ -64,6 +64,9 @@ impl RadioConfig {
 #[derive(Debug, Clone)]
 pub struct Radio {
     config: RadioConfig,
+    /// `config.min_switch_latency()`, computed once: [`Radio::may_hear`]
+    /// runs for every listener of every beacon.
+    min_switch: Duration,
     channel: Channel,
     /// The radio neither transmits nor receives until this instant
     /// (mid-switch).
@@ -76,6 +79,7 @@ impl Radio {
     /// A radio parked on `initial` channel.
     pub fn new(config: RadioConfig, initial: Channel) -> Radio {
         Radio {
+            min_switch: config.min_switch_latency(),
             config,
             channel: initial,
             busy_until: Instant::ZERO,
@@ -110,8 +114,7 @@ impl Radio {
     ///   until at least `t + min_switch_latency`, so after any switch it
     ///   hears nothing before `now + min_switch_latency`.
     pub fn may_hear(&self, ch: Channel, now: Instant, at: Instant) -> bool {
-        (self.channel == ch && at >= self.busy_until)
-            || at >= now + self.config.min_switch_latency()
+        (self.channel == ch && at >= self.busy_until) || at >= now + self.min_switch
     }
 
     /// Begin a switch to `to` at `now` with `connected` associated

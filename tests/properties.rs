@@ -9,7 +9,7 @@ use sim_engine::{prop_assert, prop_assert_eq};
 
 use spider_repro::dhcp::{DhcpMessage, MessageType};
 use spider_repro::engine::{Duration, Instant, Rng, Samples, Summary};
-use spider_repro::mobility::{Point, Route};
+use spider_repro::mobility::{Anchor, Point, Route, SpeedProfile, Vehicle};
 use spider_repro::model::JoinModelParams;
 use spider_repro::tcp::{segment::Segment, seq::SeqNum};
 use spider_repro::wifi::frame::{Frame, FrameBody, Ssid};
@@ -335,6 +335,71 @@ fn point_distance_is_a_metric() {
         prop_assert!(a.distance(a) < 1e-12);
         Ok(())
     });
+}
+
+/// The earshot bound decides only what the exact distance would: an
+/// [`Anchor`] taken at a vehicle's position and queried up to one 1 Hz
+/// upkeep period before or after answers "within" or "beyond" the 400 m
+/// hearing radius exactly when the vehicle's position then is. Routes
+/// are open and looped, profiles constant and stop-and-go, departures
+/// delayed, and most APs sit within 20 m of the hearing circle around the
+/// anchor, where the undecided band lies.
+#[test]
+fn earshot_bound_agrees_with_exact_distance() {
+    const RADIUS: f64 = 400.0;
+    check_with(
+        "earshot_bound_agrees_with_exact_distance",
+        Config::cases(1024),
+        |g| {
+            let coord = |g: &mut Gen| g.f64_in(-1_500.0, 1_500.0);
+            let vertices = g.vec(2, 6, |g| Point::new(coord(g), coord(g)));
+            let Ok(route) = Route::try_new(vertices, g.bool()) else {
+                return Ok(());
+            };
+            let cruise = g.f64_in(0.5, 40.0);
+            let profile = if g.bool() {
+                SpeedProfile::Constant(cruise)
+            } else {
+                SpeedProfile::StopAndGo {
+                    cruise,
+                    stop_every: g.f64_in(1.0, 400.0),
+                    stop_for: g.f64_in(0.0, 30.0),
+                }
+            };
+            let departed = Instant::from_millis(g.u64_in(0, 30_000));
+            let vehicle = Vehicle::with_profile(route, profile, departed);
+            let t0 = Instant::from_micros(g.u64_in(0, 900_000_000));
+            let anchor = Anchor {
+                at: t0,
+                pos: vehicle.position_at(t0),
+                max_speed: vehicle.max_speed(),
+            };
+            let offset = Duration::from_micros(g.u64_in(0, 1_000_001));
+            let now = if g.usize_in(0, 4) == 0 {
+                Instant::ZERO + t0.saturating_since(Instant::ZERO + offset)
+            } else {
+                t0 + offset
+            };
+            let pos = vehicle.position_at(now);
+            for _ in 0..16 {
+                let r = if g.usize_in(0, 8) == 0 {
+                    g.f64_in(0.0, 1_000.0)
+                } else {
+                    RADIUS + g.f64_in(-20.0, 20.0)
+                };
+                let angle = g.f64_in(0.0, std::f64::consts::TAU);
+                let ap = Point::new(
+                    anchor.pos.x + r * angle.cos(),
+                    anchor.pos.y + r * angle.sin(),
+                );
+                let exact = pos.distance(ap) <= RADIUS;
+                if let Some(decided) = anchor.within(now, ap, RADIUS) {
+                    prop_assert_eq!(decided, exact, "AP at {ap:?}, vehicle at {pos:?}");
+                }
+            }
+            Ok(())
+        },
+    );
 }
 
 // ---------------------------------------------------------------- models
@@ -1157,7 +1222,7 @@ fn segment_wire_len_survives_roundtrip() {
 
 // ---------------------------------------------------- world-config codec
 
-use spider_repro::mobility::{ApSite, SpeedProfile, Vehicle};
+use spider_repro::mobility::ApSite;
 use spider_repro::spider::codec::{decode_world, encode_world};
 use spider_repro::spider::world::{MAX_DATA_RETRIES, MAX_TIMER};
 use spider_repro::spider::{

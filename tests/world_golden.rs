@@ -5,7 +5,8 @@
 //! serialization moves at least one of them.
 //!
 //! The worlds cover every `SchedulePolicy`, a segmented download plan, a
-//! three-client fleet, a sixteen-client convoy and a drive past two APs. The pins are
+//! three-client fleet, a sixteen-client convoy, a drive past two APs and
+//! ten seconds of the 1024-AP downtown. The pins are
 //! deliberate: a refactor must leave them alone, and a behaviour change
 //! must say why it moves them.
 //!
@@ -43,11 +44,19 @@
 //! station table, none of which moved a pin. It is the one world here
 //! that queues a second switch to a channel the radio is already bound
 //! for.
+//!
+//! `metro_downtown` was pinned before beacons stopped being built as
+//! frames, before earshot came from a speed bound on each client's last
+//! 1 Hz position and before medium arrivals rode per-channel queue
+//! lanes. None of these moved a pin.
 
 use spider_repro::campaign::hash::content_hash;
 use spider_repro::dhcp::DhcpClientConfig;
 use spider_repro::engine::{Duration, Instant, Rng};
-use spider_repro::mobility::{deploy_along, ApSite, DeploymentConfig, Point, Route, Vehicle};
+use spider_repro::mobility::{
+    deploy_along, metro_deployment, metro_route, ApSite, DeploymentConfig, MetroConfig, Point,
+    Route, Vehicle,
+};
 use spider_repro::spider::fleet::convoy;
 use spider_repro::spider::{
     run_with_diagnostics, ClientMotion, RunRecord, SchedulePolicy, SpiderConfig, WorldConfig,
@@ -292,4 +301,23 @@ fn same_channel_slices_within_grace() {
     };
     let cfg = lab(&[Channel::CH1, Channel::CH6], spider, 30);
     pin(cfg, ("8286a0eaa8bcffe7acef08537e0f727b", 37122, 147));
+}
+
+/// Ten seconds of the 1024-AP downtown: `MetroConfig::downtown()`
+/// placement, the adaptive channel policy and the metro route at 13 m/s.
+/// About 200 APs are in earshot at once, so most events are beacons and
+/// their receptions, and every AP's beacon tick decides earshot.
+#[test]
+fn metro_downtown() {
+    let metro = MetroConfig::downtown();
+    let sites = metro_deployment(&metro, &mut Rng::new(SEED ^ 0x3E7));
+    let vehicle = Vehicle::new(metro_route(&metro), 13.0, Instant::ZERO);
+    let cfg = WorldConfig::new(
+        SEED,
+        sites,
+        ClientMotion::Route(vehicle),
+        SpiderConfig::adaptive_channel(),
+        Duration::from_secs(10),
+    );
+    pin(cfg, ("755f893cd689afdb54fb8a6c3e5585d1", 43716, 1393));
 }
