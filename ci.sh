@@ -49,46 +49,6 @@ step "bench-e2e tests (its own workspace; golden byte-identity digests)"
 # or moves its output fails here.
 cargo test -q --offline --release --manifest-path bench-e2e/Cargo.toml
 
-# The fig5 campaign's cache and process-exec checks (a second process in
-# another environment, a torn manifest tail, a corrupt record, a worker
-# crash) run under `cargo test` above: crates/experiments/tests/fleet_fault.rs.
-# So does the metro campaign's (channel-assignment twice on one cache,
-# from two processes in different environments: byte-identical, second
-# pass all hits): crates/experiments/tests/metro_cache.rs.
-
-step "client-fleet smoke test (N=1 identity + 8-client world across exec modes)"
-# Two latches on the fleet subsystem. First: a world built with an
-# explicitly empty fleet must replay the historical single-client world
-# byte-for-byte at RunRecord fidelity — the fleet-identity target exits
-# nonzero on any divergence, and two separate processes must print the
-# same record. Second: the fleet-contention campaign (convoys up to 8
-# clients over the 1024-AP metro grid) must be byte-identical between
-# in-process threads and worker OS processes, each on a fresh cache —
-# this drives fleet WorldConfigs through the codec-v2 worker protocol.
-smoke_dir=$(mktemp -d target/campaign-smoke.XXXXXX)
-trap 'rm -rf "$smoke_dir"' EXIT
-./target/release/experiments fleet-identity \
-    >"$smoke_dir/ident1.out" 2>/dev/null
-./target/release/experiments fleet-identity \
-    >"$smoke_dir/ident2.out" 2>/dev/null
-if ! cmp -s "$smoke_dir/ident1.out" "$smoke_dir/ident2.out"; then
-    echo "error: fleet-identity output differs between processes" >&2
-    diff "$smoke_dir/ident1.out" "$smoke_dir/ident2.out" >&2 || true
-    exit 1
-fi
-./target/release/experiments fleet-contention --scale 1 \
-    --cache-dir "$smoke_dir/convoy-threads" \
-    >"$smoke_dir/convoy1.out" 2>"$smoke_dir/convoy1.err"
-./target/release/experiments fleet-contention --scale 1 --workers 4 --exec process \
-    --cache-dir "$smoke_dir/convoy-procs" \
-    >"$smoke_dir/convoy2.out" 2>"$smoke_dir/convoy2.err"
-if ! cmp -s "$smoke_dir/convoy1.out" "$smoke_dir/convoy2.out"; then
-    echo "error: fleet-contention differs between threads and worker processes" >&2
-    diff "$smoke_dir/convoy1.out" "$smoke_dir/convoy2.out" >&2 || true
-    exit 1
-fi
-echo "ok: empty fleet replays the single-client world; 8-client convoy byte-identical across exec modes"
-
 step "cargo fmt --check"
 if cargo fmt --version >/dev/null 2>&1; then
     cargo fmt --all --check

@@ -53,40 +53,20 @@ impl RecordCache {
     }
 
     /// Store `result` under `hash` atomically; returns the record path.
+    ///
+    /// Temp-file + same-directory rename: concurrent writers (threads or
+    /// whole processes sharing the cache) each use a distinct temp name,
+    /// and the last rename wins with the file complete either way.
     pub fn store(&self, hash: &str, result: &RunResult) -> io::Result<PathBuf> {
         let json = RunRecord::to_json(result)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.write_atomic(hash, &json)?;
-        Ok(self.record_path(hash))
-    }
-
-    /// Store record JSON produced elsewhere (a fleet worker) under `hash`.
-    ///
-    /// The text is parsed first — an unparsable record is rejected, never
-    /// cached — and then written **byte-for-byte**: workers and in-process
-    /// runs emit identical JSON for identical shards (the cross-process
-    /// determinism contract), and storing the worker's exact bytes keeps
-    /// that comparable on disk. Returns the path and the parsed result.
-    pub fn store_json(&self, hash: &str, json: &str) -> io::Result<(PathBuf, RunResult)> {
-        let result = RunRecord::from_json(json).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("worker record for {hash} unparsable: {e:?}"),
-            )
-        })?;
-        self.write_atomic(hash, json)?;
-        Ok((self.record_path(hash), result))
-    }
-
-    /// Temp-file + same-directory rename; concurrent writers (threads or
-    /// whole processes) each use a distinct temp name, and the last rename
-    /// wins with the file complete either way.
-    fn write_atomic(&self, hash: &str, json: &str) -> io::Result<()> {
         let tmp = self
             .reports
             .join(format!(".tmp-{hash}-{}", std::process::id()));
         fs::write(&tmp, json)?;
-        fs::rename(&tmp, self.record_path(hash))
+        let path = self.record_path(hash);
+        fs::rename(&tmp, &path)?;
+        Ok(path)
     }
 }
 

@@ -4,9 +4,9 @@
 //! fingerprint (crate version + run-record schema revision) followed by
 //! the complete `WorldConfig` — seed, sites, motion, driver policy, TCP
 //! parameters, duration, workload, fleet — as encoded by
-//! [`spider_core::codec::encode_world`], the same versioned bytes the
-//! fleet worker protocol ships. The codec writes every field at fixed
-//! width (floats as IEEE-754 bit patterns), so the preimage is
+//! [`spider_core::codec::encode_world`], a versioned lossless encoding
+//! (its decoder is the round-trip witness). The codec writes every field
+//! at fixed width (floats as IEEE-754 bit patterns), so the preimage is
 //! deterministic across runs and platforms, and renaming a field does not
 //! move it. Any change to any field — a different seed, one more AP, a
 //! 1 ms timer tweak — changes the hash and misses the cache.

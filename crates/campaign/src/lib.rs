@@ -51,49 +51,28 @@ use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use fleet::scheduler::{run_shards, FleetConfig, FleetEvent, ShardJob};
 use sim_engine::par::{self, CancelToken};
 use spider_core::world::{run_with_diagnostics, RunResult, WorldConfig};
 
 use cache::RecordCache;
-use manifest::{FleetNote, Manifest, ManifestEntry};
+use manifest::{Manifest, ManifestEntry};
 use progress::Progress;
 
 /// Default cache directory, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = "target/campaign";
-
-/// How uncached shards are executed.
-#[derive(Debug, Clone)]
-pub enum ExecMode {
-    /// Threads in this process over `sim_engine::par` (the default).
-    InProcess,
-    /// A fleet of worker OS processes speaking the framed protocol in
-    /// `fleet::proto`; crashes are retried, so one bad shard cannot take
-    /// the whole campaign down. Records flow through the same cache and
-    /// manifest as in-process runs and are byte-identical to them.
-    Process {
-        /// Worker executable — normally `std::env::current_exe()`.
-        program: PathBuf,
-        /// Arguments that put the executable in worker mode
-        /// (e.g. `["--worker"]`).
-        args: Vec<String>,
-    },
-}
 
 /// A campaign runner: where to cache, how wide to fan out, how to stop.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     /// Cache directory (records + manifest).
     pub cache_dir: PathBuf,
-    /// Worker threads (or worker processes) for uncached shards.
+    /// Worker threads for uncached shards.
     pub workers: usize,
     /// Suppress progress/summary lines (tests).
     pub quiet: bool,
     /// Cooperative cancellation; clone it and call `cancel()` from
     /// anywhere to stop the campaign at the next shard boundary.
     pub cancel: CancelToken,
-    /// How misses are executed.
-    pub exec: ExecMode,
 }
 
 /// One completed shard.
@@ -156,7 +135,6 @@ impl Campaign {
             workers: par::available_workers(),
             quiet: false,
             cancel: CancelToken::new(),
-            exec: ExecMode::InProcess,
         }
     }
 
@@ -169,12 +147,6 @@ impl Campaign {
     /// Suppress stderr progress output.
     pub fn with_quiet(mut self, quiet: bool) -> Campaign {
         self.quiet = quiet;
-        self
-    }
-
-    /// Choose how uncached shards execute (threads vs worker processes).
-    pub fn with_exec(mut self, exec: ExecMode) -> Campaign {
-        self.exec = exec;
         self
     }
 
@@ -224,45 +196,11 @@ impl Campaign {
 
         let hits = slots.iter().flatten().count();
         let scheduled = pending.len();
-        let cancelled = match &self.exec {
-            ExecMode::InProcess => {
-                self.run_in_process(pending, &cache, &manifest, &progress, &mut slots)?
-            }
-            ExecMode::Process { program, args } => self.run_process(
-                program.clone(),
-                args.clone(),
-                pending,
-                &cache,
-                &manifest,
-                &progress,
-                &mut slots,
-            )?,
-        };
-        let misses = scheduled - cancelled;
-        progress.summary(hits, misses, cancelled);
-        Ok(CampaignRun {
-            outcomes: slots.into_iter().flatten().collect(),
-            hits,
-            misses,
-            cancelled,
-        })
-    }
-
-    /// Execute `pending` on a thread pool in this process. Returns the
-    /// number of shards skipped by cancellation.
-    fn run_in_process(
-        &self,
-        pending: Vec<(usize, String, String, WorldConfig)>,
-        cache: &RecordCache,
-        manifest: &Manifest,
-        progress: &Progress,
-        slots: &mut [Option<ShardOutcome>],
-    ) -> io::Result<usize> {
         let executed = par::map_cancellable(
             pending,
             self.workers,
             &self.cancel,
-            move |_, (index, label, hash, world)| {
+            |_, (index, label, hash, world)| {
                 let started = Instant::now();
                 let (result, diag) = run_with_diagnostics(world);
                 let wall_ms = started.elapsed().as_millis() as u64;
@@ -304,144 +242,14 @@ impl Campaign {
                 None => cancelled += 1,
             }
         }
-        Ok(cancelled)
-    }
-
-    /// Execute `pending` on a fleet of worker processes. Every scheduler
-    /// transition lands in the manifest as a fleet note (forensics), and
-    /// every completed shard is stored + manifested the moment it arrives,
-    /// so a campaign killed mid-fleet resumes exactly like an in-process
-    /// one. Returns the number of shards skipped by cancellation.
-    #[allow(clippy::too_many_arguments)]
-    fn run_process(
-        &self,
-        program: PathBuf,
-        args: Vec<String>,
-        pending: Vec<(usize, String, String, WorldConfig)>,
-        cache: &RecordCache,
-        manifest: &Manifest,
-        progress: &Progress,
-        slots: &mut [Option<ShardOutcome>],
-    ) -> io::Result<usize> {
-        let scheduled = pending.len();
-        if scheduled == 0 {
-            return Ok(0);
-        }
-        // Job order mirrors `pending`; `ShardDone::index` indexes both.
-        let meta: Vec<(usize, String, String)> = pending
-            .iter()
-            .map(|(index, label, hash, _)| (*index, label.clone(), hash.clone()))
-            .collect();
-        let jobs: Vec<ShardJob> = pending
-            .into_iter()
-            .map(|(_, label, _, world)| ShardJob { name: label, world })
-            .collect();
-        let mut cfg = FleetConfig::new(program, self.workers, hash::code_fingerprint());
-        cfg.args = args;
-
-        let note = |kind: &str| FleetNote {
-            kind: kind.to_string(),
-            shard: None,
-            worker: None,
-            attempt: None,
-            detail: None,
-        };
-        let run = run_shards(&cfg, &jobs, &self.cancel, |event| {
-            match event {
-                FleetEvent::WorkerReady { worker } => {
-                    manifest.append_fleet(&FleetNote {
-                        worker: Some(*worker as u64),
-                        ..note("worker-ready")
-                    })?;
-                }
-                FleetEvent::Assigned {
-                    worker,
-                    shard,
-                    attempt,
-                } => {
-                    manifest.append_fleet(&FleetNote {
-                        shard: Some(shard.clone()),
-                        worker: Some(*worker as u64),
-                        attempt: Some(u64::from(*attempt)),
-                        ..note("assigned")
-                    })?;
-                }
-                FleetEvent::Completed {
-                    worker,
-                    shard,
-                    done,
-                } => {
-                    let (index, label, hash) = &meta[done.index];
-                    let (record_path, result) = cache.store_json(hash, &done.record_json)?;
-                    manifest.append(&ManifestEntry {
-                        shard: label.clone(),
-                        hash: hash.clone(),
-                        wall_ms: done.wall_ms,
-                        cache_hit: false,
-                        path: record_rel_path(hash),
-                    })?;
-                    manifest.append_fleet(&FleetNote {
-                        shard: Some(shard.clone()),
-                        worker: Some(*worker as u64),
-                        attempt: Some(u64::from(done.attempts)),
-                        ..note("completed")
-                    })?;
-                    progress.shard_done(
-                        label,
-                        hash,
-                        false,
-                        done.wall_ms,
-                        self.workers,
-                        Some((done.events_delivered, done.peak_queue_depth as usize)),
-                    );
-                    slots[*index] = Some(ShardOutcome {
-                        label: label.clone(),
-                        hash: hash.clone(),
-                        cache_hit: false,
-                        wall_ms: done.wall_ms,
-                        record_path,
-                        result,
-                    });
-                }
-                FleetEvent::WorkerDied {
-                    worker,
-                    shard,
-                    reason,
-                } => {
-                    manifest.append_fleet(&FleetNote {
-                        shard: shard.clone(),
-                        worker: Some(*worker as u64),
-                        detail: Some(reason.clone()),
-                        ..note("worker-died")
-                    })?;
-                    progress.fleet_note(&match shard {
-                        Some(s) => format!("worker {worker} died on {s:?}: {reason}"),
-                        None => format!("worker {worker} died: {reason}"),
-                    });
-                }
-                FleetEvent::Requeued { shard, attempt } => {
-                    manifest.append_fleet(&FleetNote {
-                        shard: Some(shard.clone()),
-                        attempt: Some(u64::from(*attempt)),
-                        ..note("requeued")
-                    })?;
-                    progress.fleet_note(&format!("requeued {shard:?} (attempt {attempt})"));
-                }
-                FleetEvent::Respawned { worker, backoff_ms } => {
-                    manifest.append_fleet(&FleetNote {
-                        worker: Some(*worker as u64),
-                        detail: Some(format!("after {backoff_ms} ms backoff")),
-                        ..note("respawned")
-                    })?;
-                    progress.fleet_note(&format!(
-                        "respawned worker {worker} after {backoff_ms} ms backoff"
-                    ));
-                }
-            }
-            Ok(())
+        let misses = scheduled - cancelled;
+        progress.summary(hits, misses, cancelled);
+        Ok(CampaignRun {
+            outcomes: slots.into_iter().flatten().collect(),
+            hits,
+            misses,
+            cancelled,
         })
-        .map_err(|e| io::Error::other(e.to_string()))?;
-        Ok(scheduled - run.done.len())
     }
 }
 

@@ -55,7 +55,8 @@ impl ManifestEntry {
     }
 
     /// Parse one line; `None` for anything malformed (corrupt tail) and
-    /// for any key outside the schema (fleet notes).
+    /// for any key outside the schema (such as the scheduling-note lines
+    /// that older caches hold).
     pub fn parse_line(line: &str) -> Option<ManifestEntry> {
         let mut shard = None;
         let mut hash = None;
@@ -83,75 +84,6 @@ impl ManifestEntry {
             wall_ms: wall_ms?,
             cache_hit,
             path: path?,
-        })
-    }
-}
-
-/// One fleet scheduling event (assignment, completion, crash, retry,
-/// respawn), as logged by multi-process campaigns.
-///
-/// Fleet notes share the manifest file with [`ManifestEntry`] lines but
-/// lead with a `"fleet"` key, which [`ManifestEntry::parse_line`] rejects
-/// — so [`Manifest::replay`] skips them untouched. They are the forensic
-/// record: [`Manifest::replay_fleet`] reconstructs what the fleet did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetNote {
-    /// Event kind: `"assigned"`, `"completed"`, `"worker-died"`,
-    /// `"requeued"`, `"respawned"`, `"worker-ready"`.
-    pub kind: String,
-    /// The shard involved, when the event concerns one.
-    pub shard: Option<String>,
-    /// The worker slot involved, when the event concerns one.
-    pub worker: Option<u64>,
-    /// 1-based attempt number, for assignments and requeues.
-    pub attempt: Option<u64>,
-    /// Free-form cause or context (crash reasons, backoff).
-    pub detail: Option<String>,
-}
-
-impl FleetNote {
-    /// Render as one JSONL line (no trailing newline).
-    pub fn to_line(&self) -> String {
-        let mut out = format!(r#"{{"fleet":{}"#, quote(&self.kind));
-        if let Some(shard) = &self.shard {
-            out.push_str(&format!(r#","shard":{}"#, quote(shard)));
-        }
-        if let Some(worker) = self.worker {
-            out.push_str(&format!(r#","worker":{worker}"#));
-        }
-        if let Some(attempt) = self.attempt {
-            out.push_str(&format!(r#","attempt":{attempt}"#));
-        }
-        if let Some(detail) = &self.detail {
-            out.push_str(&format!(r#","detail":{}"#, quote(detail)));
-        }
-        out.push('}');
-        out
-    }
-
-    /// Parse one line; `None` for non-fleet or malformed lines.
-    pub fn parse_line(line: &str) -> Option<FleetNote> {
-        let mut kind = None;
-        let mut shard = None;
-        let mut worker = None;
-        let mut attempt = None;
-        let mut detail = None;
-        for (key, value) in object_fields(line)? {
-            match key.as_str() {
-                "fleet" => kind = Some(into_string(value)?),
-                "shard" => shard = Some(into_string(value)?),
-                "worker" => worker = Some(value.as_u64()?),
-                "attempt" => attempt = Some(value.as_u64()?),
-                "detail" => detail = Some(into_string(value)?),
-                _ => return None,
-            }
-        }
-        Some(FleetNote {
-            kind: kind?,
-            shard,
-            worker,
-            attempt,
-            detail,
         })
     }
 }
@@ -191,23 +123,6 @@ impl Manifest {
         let mut file = self.file.lock().unwrap_or_else(|p| p.into_inner());
         writeln!(file, "{}", entry.to_line())?;
         file.flush()
-    }
-
-    /// Append one fleet scheduling note and flush.
-    pub fn append_fleet(&self, note: &FleetNote) -> io::Result<()> {
-        // Same poison recovery as `append`: a torn line is skipped on replay.
-        let mut file = self.file.lock().unwrap_or_else(|p| p.into_inner());
-        writeln!(file, "{}", note.to_line())?;
-        file.flush()
-    }
-
-    /// Replay only the fleet scheduling notes (crash forensics;
-    /// [`Manifest::replay`] skips these lines).
-    pub fn replay_fleet(cache_dir: &Path) -> io::Result<Vec<FleetNote>> {
-        let bytes = Self::read(cache_dir)?;
-        Ok(utf8_lines(&bytes)
-            .filter_map(FleetNote::parse_line)
-            .collect())
     }
 
     /// Replay a manifest, skipping unparsable (truncated) lines. A
@@ -334,35 +249,7 @@ mod tests {
             Manifest::replay(&dir).unwrap(),
             vec![entry("a", "h1", false)]
         );
-        assert!(Manifest::replay_fleet(&dir).unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn note(kind: &str) -> FleetNote {
-        FleetNote {
-            kind: kind.to_string(),
-            shard: Some("f6 = \"50%\"".to_string()),
-            worker: Some(3),
-            attempt: Some(2),
-            detail: Some("worker died mid-shard: clean EOF (exit status: 86)".to_string()),
-        }
-    }
-
-    #[test]
-    fn fleet_notes_roundtrip() {
-        for n in [
-            note("worker-died"),
-            FleetNote {
-                kind: "worker-ready".to_string(),
-                shard: None,
-                worker: Some(0),
-                attempt: None,
-                detail: None,
-            },
-        ] {
-            let line = n.to_line();
-            assert_eq!(FleetNote::parse_line(&line), Some(n), "line: {line}");
-        }
     }
 
     #[test]
@@ -373,25 +260,26 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        // Caches written by multi-process campaigns interleave scheduling
+        // notes, led by a "fleet" key, with the shard entries.
+        let note = |kind: &str| {
+            format!(
+                r#"{{"fleet":"{kind}","shard":"f6 = \"50%\"","worker":3,"attempt":2,"detail":"clean EOF"}}"#
+            )
+        };
         let m = Manifest::open(&dir).unwrap();
-        m.append_fleet(&note("assigned")).unwrap();
+        let raw = |line: String| writeln!(m.file.lock().unwrap(), "{line}").unwrap();
+        raw(note("assigned"));
         m.append(&entry("a", "h1", false)).unwrap();
-        m.append_fleet(&note("worker-died")).unwrap();
-        m.append_fleet(&note("requeued")).unwrap();
+        raw(note("worker-died"));
+        raw(note("requeued"));
         m.append(&entry("b", "h2", true)).unwrap();
         drop(m);
-        // Resume sees only the shard entries…
+        // Replay returns only the shard entries.
         assert_eq!(
             Manifest::replay(&dir).unwrap(),
             vec![entry("a", "h1", false), entry("b", "h2", true)]
         );
-        // …while forensics sees only the fleet notes, in order.
-        let kinds: Vec<String> = Manifest::replay_fleet(&dir)
-            .unwrap()
-            .into_iter()
-            .map(|n| n.kind)
-            .collect();
-        assert_eq!(kinds, vec!["assigned", "worker-died", "requeued"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Everything goes to **stderr**: stdout belongs to the experiment's
 //! figure text, which must stay byte-identical between a fresh run and a
-//! fully cached one (ci.sh asserts this), so the orchestrator never
-//! writes a byte there.
+//! fully cached one (`experiments/tests/campaign_cache.rs` asserts
+//! this), so the orchestrator never writes a byte there.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -80,15 +80,6 @@ impl Progress {
         );
     }
 
-    /// Print a one-line fleet lifecycle note (worker crash, retry,
-    /// respawn) on stderr, quiet-respecting like every other line here.
-    pub fn fleet_note(&self, text: &str) {
-        if self.quiet {
-            return;
-        }
-        eprintln!("  fleet: {text}");
-    }
-
     /// Estimated seconds left: mean wall time of completed misses, spread
     /// over the remaining shards and the worker count. `None` until a
     /// first miss has finished (hits are ~free and carry no signal).
@@ -102,10 +93,10 @@ impl Progress {
         Some(mean_ms * remaining / (workers.max(1) as f64) / 1000.0)
     }
 
-    /// Print the campaign summary line (stderr). Stable prefix — ci.sh
-    /// greps for the `hits`/`misses` counts — so the aggregate engine
-    /// throughput is appended *after* the existing suffix, and only when
-    /// fresh shards actually ran.
+    /// Print the campaign summary line (stderr). Stable prefix — the
+    /// cache tests parse the `hits`/`misses` counts — so the aggregate
+    /// engine throughput is appended *after* the existing suffix, and only
+    /// when fresh shards actually ran.
     pub fn summary(&self, hits: usize, misses: usize, cancelled: usize) {
         if self.quiet {
             return;

@@ -125,38 +125,6 @@ pub static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
 /// `--no-cache`. Unset means the default `target/campaign`.
 pub static CACHE_DIR: std::sync::OnceLock<Option<std::path::PathBuf>> = std::sync::OnceLock::new();
 
-/// How `--exec` asked uncached shards to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecChoice {
-    /// Threads in this process (the default).
-    InProcess,
-    /// Worker OS processes (this binary re-invoked with `--worker`).
-    Process,
-}
-
-/// Execution mode, when `--exec` was passed (default: in-process).
-pub static EXEC: std::sync::OnceLock<ExecChoice> = std::sync::OnceLock::new();
-
-/// The `ExecMode` the campaign should use, honouring `--exec`. Process
-/// mode needs this binary's own path; if that cannot be resolved the
-/// campaign falls back to threads with a warning rather than failing the
-/// figure run.
-fn exec_mode() -> campaign::ExecMode {
-    match EXEC.get().copied().unwrap_or(ExecChoice::InProcess) {
-        ExecChoice::InProcess => campaign::ExecMode::InProcess,
-        ExecChoice::Process => match std::env::current_exe() {
-            Ok(program) => campaign::ExecMode::Process {
-                program,
-                args: vec!["--worker".to_string()],
-            },
-            Err(e) => {
-                eprintln!("warning: cannot resolve own executable ({e}); using threads");
-                campaign::ExecMode::InProcess
-            }
-        },
-    }
-}
-
 fn export_json(label: &str, result: &RunResult) {
     let Some(Some(dir)) = JSON_DIR.get().map(|d| d.as_ref()) else {
         return;
@@ -196,13 +164,9 @@ pub fn run_all(configs: Vec<(String, WorldConfig)>) -> Vec<(String, RunResult)> 
         Some(Some(dir)) => Some(dir.clone()),
         None => Some(std::path::PathBuf::from(campaign::DEFAULT_CACHE_DIR)),
     };
-    if cache_dir.is_none() && EXEC.get().copied() == Some(ExecChoice::Process) {
-        eprintln!("warning: --exec process needs the record cache; --no-cache runs in threads");
-    }
     let results = match cache_dir {
         Some(dir) => match campaign::Campaign::new(&dir)
             .with_workers(workers)
-            .with_exec(exec_mode())
             .run(configs.clone())
         {
             Ok(outcome) => outcome.into_results(),

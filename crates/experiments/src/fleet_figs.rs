@@ -13,9 +13,9 @@
 //! `fleet-identity` is the refactor's safety latch: a world built with an
 //! explicitly empty fleet must replay the historical single-client world
 //! byte-for-byte (compared at `RunRecord` fidelity, the campaign cache's
-//! own format). ci.sh runs it, and additionally replays
-//! `fleet-contention` across `--exec process` / in-process threads to
-//! pin cross-process byte-identity of fleet worlds.
+//! own format). `tests/campaign_cache.rs` runs it in two processes with
+//! different environments and compares their stdout byte for byte, and
+//! replays `fleet-contention` from one process's cache in another.
 
 use analytical::cell::CellModel;
 use mobility::metro::{metro_deployment, metro_route, MetroChannelPlan, MetroConfig};

@@ -4,7 +4,6 @@
 //! ```text
 //! experiments <target> [--seed N] [--scale K] [--json DIR]
 //!             [--workers N] [--cache-dir DIR] [--no-cache]
-//!             [--exec process|in-process]
 //! ```
 //!
 //! A target is one of the paper's tables or figures (`fig5`, `table2`,
@@ -14,11 +13,6 @@
 //!
 //! `--scale K` multiplies run lengths by `K` (1 = quick pass; the paper's
 //! 30–60 minute drives correspond to roughly `--scale 4`).
-//!
-//! `--exec process` runs uncached shards in worker OS processes (this
-//! same binary, re-invoked with the hidden `--worker` flag) instead of
-//! threads: a crashed shard is retried on a respawned worker rather than
-//! taking the whole run down. Output is byte-identical either way.
 //!
 //! Simulation shards run through the campaign orchestrator: results are
 //! cached by content hash under `target/campaign` (override with
@@ -75,18 +69,6 @@ const TARGETS: &[Target] = &[
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Worker mode: speak the fleet protocol on stdin/stdout and nothing
-    // else. Checked before any output — stdout belongs to the protocol.
-    if args.first().map(String::as_str) == Some("--worker") {
-        let fingerprint = campaign::hash::code_fingerprint();
-        match fleet::worker::serve(std::io::stdin(), std::io::stdout(), &fingerprint) {
-            Ok(()) => return,
-            Err(e) => {
-                eprintln!("worker: protocol error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     let mut target = String::from("all");
     let mut scale = Scale {
         factor: 1,
@@ -153,15 +135,6 @@ fn main() {
             "--no-cache" => {
                 let _ = common::CACHE_DIR.set(None);
             }
-            "--exec" => {
-                i += 1;
-                let mode = match args.get(i).map(String::as_str) {
-                    Some("process") => common::ExecChoice::Process,
-                    Some("in-process") => common::ExecChoice::InProcess,
-                    _ => usage("--exec needs 'process' or 'in-process'"),
-                };
-                let _ = common::EXEC.set(mode);
-            }
             t if !t.starts_with('-') => target = t.to_string(),
             other => usage(&format!("unknown flag {other}")),
         }
@@ -194,7 +167,7 @@ fn usage(err: &str) -> ! {
         .flat_map(|(names, _)| names.iter().copied())
         .collect();
     eprintln!(
-        "usage: experiments <{}|all> [--seed N] [--scale K] [--json DIR] [--workers N] [--cache-dir DIR] [--no-cache] [--exec process|in-process]",
+        "usage: experiments <{}|all> [--seed N] [--scale K] [--json DIR] [--workers N] [--cache-dir DIR] [--no-cache]",
         names.join("|")
     );
     std::process::exit(2);

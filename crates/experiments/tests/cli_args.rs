@@ -54,17 +54,6 @@ fn repeated_or_conflicting_flags_are_usage_errors() {
             "--scale after --scale",
         ),
         (
-            &[
-                "fig5",
-                "--no-cache",
-                "--exec",
-                "process",
-                "--exec",
-                "in-process",
-            ],
-            "--exec after --exec",
-        ),
-        (
             &["fig5", "--no-cache", "--no-cache"],
             "--no-cache after --no-cache",
         ),

@@ -5,13 +5,12 @@
 //! | tier | crates | rules enforced |
 //! |------|--------|----------------|
 //! | **sim** | `sim-engine`, `wifi-mac`, `dhcp`, `tcp-lite`, `mobility`, `geo`, `workload`, `analytical`, `spider-core` | all six line rules + `panic-reach` |
-//! | **lib** | `campaign`, `simlint`, `fleet` (except `proto.rs`), `bench` (harness/baseline), the root `src/` facade | `panic-path`, `panic-reach` |
+//! | **lib** | `campaign`, `simlint`, `bench` (harness/baseline), the root `src/` facade | `panic-path`, `panic-reach` |
 //! | **bin** | `experiments`, `bench` suite bodies (`suites.rs`, `src/bin/`) | *(none)* |
 //!
-//! Two files get per-file overrides: `crates/fleet/src/proto.rs` and
-//! `crates/bench/src/stats.rs` are **sim**-tier — the wire codec and the
-//! bootstrap statistics both promise bit-identical results across
-//! machines. Test code is exempt everywhere: files under `tests/`,
+//! One file gets a per-file override: `crates/bench/src/stats.rs` is
+//! **sim**-tier — the bootstrap statistics promise bit-identical results
+//! across machines. Test code is exempt everywhere: files under `tests/`,
 //! `benches/`, or `examples/` directories, and `#[cfg(test)]` items.
 //!
 //! The tier table is **default-deny**: a directory under `crates/` with
@@ -173,7 +172,7 @@ pub const SIM_CRATES: &[&str] = &[
 /// Non-sim crates with an explicit tier. The union of this list and
 /// [`SIM_CRATES`] is the complete allow-list: any other directory under
 /// `crates/` is an `unclassified-crate` violation.
-pub const OTHER_CRATES: &[&str] = &["bench", "campaign", "experiments", "fleet", "simlint"];
+pub const OTHER_CRATES: &[&str] = &["bench", "campaign", "experiments", "simlint"];
 
 /// Is `name` a crate the tier table knows about?
 pub fn known_crate(name: &str) -> bool {
@@ -201,13 +200,6 @@ pub fn tier_of(rel_path: &str) -> Tier {
         }
         if krate == "experiments" {
             return Tier::Bin;
-        }
-        if krate == "fleet" && parts.last() == Some(&"proto.rs") {
-            // The framed wire codec runs on both ends of the worker
-            // protocol, so it gets the full determinism tier; the
-            // scheduler/worker around it are process management (OS
-            // children, wall-clock deadlines) and stay at Lib.
-            return Tier::Sim;
         }
         if krate == "bench" {
             // The bootstrap statistics behind the regression gate promise
@@ -665,21 +657,6 @@ mod tests {
         let src = "use std::collections::HashMap;\nfn f() { x.unwrap(); }\n";
         assert!(run("crates/spider-core/tests/determinism.rs", src).is_empty());
         assert!(run("tests/full_system.rs", src).is_empty());
-    }
-
-    #[test]
-    fn fleet_protocol_is_sim_tier_rest_is_lib() {
-        assert_eq!(tier_of("crates/fleet/src/proto.rs"), Tier::Sim);
-        assert_eq!(tier_of("crates/fleet/src/scheduler.rs"), Tier::Lib);
-        assert_eq!(tier_of("crates/fleet/src/worker.rs"), Tier::Lib);
-        assert_eq!(tier_of("crates/fleet/tests/scheduler_e2e.rs"), Tier::Test);
-        // The codec must not read wall clocks; the scheduler may (its
-        // deadlines are real time), but still answers for panic paths.
-        let clock = "fn f() { let t = std::time::Instant::now(); }\n";
-        assert!(!run("crates/fleet/src/proto.rs", clock).is_empty());
-        assert!(run("crates/fleet/src/scheduler.rs", clock).is_empty());
-        let unwrap = "fn f() { x.unwrap(); }\n";
-        assert!(!run("crates/fleet/src/scheduler.rs", unwrap).is_empty());
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Binary wire codec for [`WorldConfig`].
 //!
-//! The campaign cache only ever needed a *hash* of the configuration; the
-//! fleet worker protocol needs the configuration itself to cross a process
-//! boundary. This module is the lossless round-trip: every field is encoded
-//! with fixed-width big-endian integers (floats as IEEE-754 bit patterns, so
-//! the round trip is exact), enums as one-byte tags, and collections as
-//! u32-counted sequences.
+//! Every field is encoded with fixed-width big-endian integers (floats as
+//! IEEE-754 bit patterns), enums as one-byte tags, and collections as
+//! u32-counted sequences. The encoding is the only serialization of a
+//! configuration: the campaign shard hash (`campaign::hash::shard_hash`)
+//! hashes these bytes, so the codec must carry every field, or two configs
+//! that differ only in a dropped field would share a cache key.
 //!
-//! `decode_world(encode_world(c))` reproduces `c` exactly. The encoding is
-//! the only serialization of a configuration: the campaign shard hash
-//! (`campaign::hash::shard_hash`) hashes these bytes, so the codec must
-//! carry every field, or two configs that differ only in a dropped field
-//! would share a cache key.
+//! The decoder exists as the witness of that: `decode_world(encode_world(c))`
+//! reproduces `c` exactly, so the encoding is injective, and the round-trip
+//! tests compare against it. No configuration enters a run through it.
 //!
 //! The decoder is total: malformed input yields [`CodecError`], never a
 //! panic. It checks only the format (tags, bool bytes, channel numbers,

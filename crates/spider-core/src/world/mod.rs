@@ -567,7 +567,7 @@ struct World {
 impl World {
     fn new(cfg: WorldConfig) -> (World, EventQueue<Event>) {
         if let Err(e) = cfg.validate() {
-            // simlint: allow(panic-path) — documented contract of `run` (see its # Panics); configs from outside arrive through decode_world, which rejects them as an error value
+            // simlint: allow(panic-path) — documented contract of `run` (see its # Panics): configs are built by in-process code, and callers that take them from elsewhere check `validate` first
             panic!("{e}");
         }
         let mut master = Rng::new(cfg.seed);

@@ -25,8 +25,6 @@
 //! * [`spider`] — the driver itself and the full-world simulation.
 //! * [`campaign`] — the resumable, content-addressed experiment-campaign
 //!   orchestrator (cached run records + replayable manifest).
-//! * [`fleet`] — multi-process campaign execution: a framed worker
-//!   protocol over stdin/stdout with crash-retry scheduling.
 //!
 //! ## Quickstart
 //!
@@ -111,10 +109,4 @@ pub mod spider {
 /// Campaign orchestration: content-addressed caching and resumable sweeps.
 pub mod campaign {
     pub use campaign::*;
-}
-
-/// Multi-process campaign execution: framed worker protocol, crash-retry
-/// scheduler, deterministic fault injection.
-pub mod fleet {
-    pub use fleet::*;
 }

@@ -1392,8 +1392,7 @@ fn gen_world(g: &mut Gen, hostile: bool) -> WorldConfig {
     w
 }
 
-/// The fleet protocol ships `WorldConfig`s to worker processes, and the
-/// campaign cache keys shards by the same encoded bytes — so a round trip
+/// The campaign cache keys shards by the encoded bytes, so a round trip
 /// must reproduce the config's `Debug` rendering (the check that the
 /// codec carries every field: a dropped field would let two configs share
 /// a cache key) and re-encode to identical bytes.
@@ -1423,9 +1422,9 @@ fn world_codec_rejects_every_strict_prefix() {
     });
 }
 
-/// Decoding is the gate for configs from outside the process: a hostile
-/// config either fails to decode, or decodes to one that passes
-/// `validate` and runs to completion without panicking. Half the routed
+/// The decoder is total and agrees with `validate`: a hostile config
+/// either fails to decode, or decodes to one that passes `validate` and
+/// runs to completion without panicking. Half the routed
 /// cases also get a zero, NaN, infinite, negative or huge speed written
 /// straight into the encoded bytes, where no constructor checked it.
 #[test]
@@ -1554,8 +1553,8 @@ fn metro_placement_is_invariant_under_channel_plan() {
     });
 }
 
-/// Metro worlds ride the same fleet/cache rails as every other shard, so
-/// a full metro `WorldConfig` (grid deployment + interior drive) must
+/// Metro worlds are cached like every other shard, so a full metro
+/// `WorldConfig` (grid deployment + interior drive) must
 /// round-trip the world codec bit-exactly, re-encoded bytes included.
 #[test]
 fn metro_worlds_roundtrip_the_world_codec() {
